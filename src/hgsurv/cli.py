@@ -28,8 +28,9 @@ from .model import (
     TrainConfig,
     cohort_gene_raw_lens,
     evaluate,
-    forward_record,
+    forward,
     load_checkpoint,
+    prepare_record,
     save_checkpoint,
     substream,
     train_fold,
@@ -217,6 +218,8 @@ def _load_fold_artifacts(ckpt_dir: str, fold: int, cohort: Cohort):
             raise ValidationError(str(exc)) from exc
         raise  # corrupt artifacts are runtime failures
     bank = MemoryBank.load(bank_path)
+    if bank.d != params.d:
+        raise ValidationError(f"bank {bank_path} has d={bank.d} but checkpoint {ckpt} has d={params.d}")
     return params, cfg, bank
 
 
@@ -299,10 +302,8 @@ def _export_heatmap(args, cohort: Cohort, n_folds: int) -> None:
         record = val_recs[0]
     if not (record.has_pathology and record.has_genes):
         raise ValidationError(f"patient {record.patient_id} lacks a modality; no heatmap")
-    from .model import prepare_record
-
     prepared = prepare_record(record, cfg)
-    fwd = forward_record(record, params, cfg, bank=bank)
+    fwd = forward(prepared, params, cfg, bank=bank)
     write_heatmap(args.heatmap_out, fwd.gene_build.scores, prepared.coords, record.genes.group_names)
     print(f"heatmap for {record.patient_id} in {args.heatmap_out}")
 

@@ -8,7 +8,8 @@ missing column over the top-mu entries.
 
 File format: header `d=<int> theta=<real> mu=<int>`, then one line per
 entry `key_id p0 ... p{d-1} g0 ... g{d-1}` in decimal text; floats are
-repr()'d so a round-trip is bit-exact.
+repr()'d so a round-trip is bit-exact. Each key appears once; `load`
+rejects a repeated key rather than momentum-blending it.
 """
 
 from __future__ import annotations
@@ -123,6 +124,8 @@ class MemoryBank:
             parts = line.split()
             if len(parts) != 1 + 2 * d:
                 raise ValueError(f"{path} line {lineno}: expected {1 + 2 * d} fields, got {len(parts)}")
+            if parts[0] in bank._index:
+                raise ValueError(f"{path} line {lineno}: duplicate key {parts[0]!r}")
             vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
             bank.update(parts[0], vec[:d], vec[d:])
         return bank

@@ -217,9 +217,12 @@ def build_multislide_graph(
     return merge(n, *lists)
 
 
-def prepare_record(record: PatientRecord, cfg: TrainConfig) -> PreparedRecord:
+def prepare_record(
+    record: PatientRecord, cfg: TrainConfig, missing: Modality | None = None
+) -> PreparedRecord:
+    """Per-record tensors; with pathology withheld, its tensors and hypergraph stay None."""
     x_raw = coords = hg_ms = None
-    if record.has_pathology:
+    if record.has_pathology and missing is not Modality.PATH:
         feats, crds, owner = [], [], []
         for s in record.slides:
             rng = substream(cfg.seed, "subsample", record.patient_id, s.slide_id)
@@ -265,9 +268,6 @@ class ForwardResult:
     missing: Modality | None
 
 
-_SELF_EDGE_COORD = np.zeros((1, 2))
-
-
 def _encode_genes(gene_raw, params):
     pre1, hidden, enc = [], [], []
     for w, raw in enumerate(gene_raw):
@@ -306,7 +306,7 @@ def forward(
         query = genes_enc.mean(axis=0)
         standin = bank.retrieve_missing(query, available=Modality.GENE)
         x_raw = standin[None, :]
-        hg_ms = merge(1, intra_slide_edges(_SELF_EDGE_COORD, cfg.lam))
+        hg_ms = Hypergraph(1, [(frozenset({0}), 1.0)])  # the stand-in's self-loop
         xp = x_raw  # stand-in enters already encoded
 
     acts_ms = stack_forward(xp, hg_ms, params.ms_layers)
@@ -369,7 +369,7 @@ def forward_record(
     bank: MemoryBank | None = None,
     missing: Modality | None = None,
 ) -> ForwardResult:
-    return forward(prepare_record(record, cfg), params, cfg, bank=bank, missing=missing)
+    return forward(prepare_record(record, cfg, missing), params, cfg, bank=bank, missing=missing)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,135 @@
+"""Slow reference implementations of the hypergraph convolution.
+
+Two oracles, independent of each other and of ``hgsurv.hgcore``'s cached
+operator:
+
+- dense: P realized from explicit diagonal matrices, and the edge-weight
+  gradient from the Jacobian dP/dw_e written out per edge;
+- scatter: P @ X and the edge-weight gradient computed edge by edge with
+  ``np.add.at`` gathers and scatters over the index arrays.
+
+Each ``conv_backward_*`` returns (dL/dX, dL/dTheta, dL/dweights) of
+``sum(hg_conv_forward(X, hg, params) * d_out)``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from hgsurv.hgcore import ConvLayerParams, Hypergraph, leaky, leaky_grad
+
+
+def _dense_parts(hg: Hypergraph):
+    H = np.zeros((hg.num_vertices, hg.num_edges))
+    for e, (members, _) in enumerate(hg.edges):
+        for v in members:
+            H[v, e] = 1.0
+    w = np.array([wt for _, wt in hg.edges], dtype=np.float64)
+    de = H.sum(axis=0)
+    dv = H @ w
+    r = np.array([1.0 / np.sqrt(x) if x > 0 else 0.0 for x in dv])
+    return H, w, de, dv, r
+
+
+def propagation_matrix(hg: Hypergraph) -> np.ndarray:
+    """Dense V x V realization of P = Dv^-1/2 H W De^-1 H^T Dv^-1/2."""
+    if hg.num_edges == 0:
+        return np.zeros((hg.num_vertices, hg.num_vertices))
+    H, w, de, _, r = _dense_parts(hg)
+    return np.diag(r) @ H @ np.diag(w / de) @ H.T @ np.diag(r)
+
+
+def _activate(pre, params: ConvLayerParams):
+    return leaky(pre) if params.use_nonlinearity else pre
+
+
+def _pre_grad(pre, params: ConvLayerParams, d_out):
+    return d_out * leaky_grad(pre) if params.use_nonlinearity else d_out
+
+
+def conv_forward_dense(X, hg: Hypergraph, params: ConvLayerParams) -> np.ndarray:
+    return _activate(propagation_matrix(hg) @ X @ params.theta, params)
+
+
+def conv_backward_dense(X, hg: Hypergraph, params: ConvLayerParams, d_out):
+    M = propagation_matrix(hg)
+    g = _pre_grad(M @ X @ params.theta, params, d_out)
+    d_theta = (M @ X).T @ g
+    d_px = g @ params.theta.T
+    d_x = M.T @ d_px
+    d_w = np.zeros(hg.num_edges)
+    if hg.num_edges == 0:
+        return d_x, d_theta, d_w
+    H, w, de, dv, r = _dense_parts(hg)
+    Ht = H @ np.diag(w / de) @ H.T
+    R = np.diag(r)
+    dL_dP = d_px @ X.T
+    for e in range(hg.num_edges):
+        h = H[:, e]
+        # dr_v/dw_e = -1/2 dv_v^{-3/2} for v in e
+        dR = np.diag([-0.5 * dv[v] ** -1.5 * h[v] if dv[v] > 0 else 0.0 for v in range(len(h))])
+        dP = R @ np.outer(h, h) @ R / de[e] + dR @ Ht @ R + R @ Ht @ dR
+        d_w[e] = np.sum(dL_dP * dP)
+    return d_x, d_theta, d_w
+
+
+def _degrees_scatter(hg: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted vertex degrees and their inverse square roots (0 where the degree is 0)."""
+    dv = np.zeros(hg.num_vertices)
+    if hg.num_edges:
+        np.add.at(dv, hg._vidx, hg._weights[hg._eidx])
+    r = np.zeros_like(dv)
+    pos = dv > 0
+    r[pos] = 1.0 / np.sqrt(dv[pos])
+    return dv, r
+
+
+def propagate_scatter(hg: Hypergraph, X: np.ndarray) -> np.ndarray:
+    """P @ X via edge-wise gather/scatter."""
+    if hg.num_edges == 0:
+        return np.zeros_like(X, dtype=np.float64)
+    _, r = _degrees_scatter(hg)
+    Y = X * r[:, None]
+    S = np.zeros((hg.num_edges, X.shape[1]))
+    np.add.at(S, hg._eidx, Y[hg._vidx])
+    M = S * (hg._weights / hg._sizes)[:, None]
+    Z = np.zeros_like(Y)
+    np.add.at(Z, hg._vidx, M[hg._eidx])
+    return Z * r[:, None]
+
+
+def conv_forward_scatter(X, hg: Hypergraph, params: ConvLayerParams) -> np.ndarray:
+    return _activate(propagate_scatter(hg, X) @ params.theta, params)
+
+
+def conv_backward_scatter(X, hg: Hypergraph, params: ConvLayerParams, d_out):
+    PX = propagate_scatter(hg, X)
+    g = _pre_grad(PX @ params.theta, params, d_out)
+    d_theta = PX.T @ g
+    d_px = g @ params.theta.T
+    d_x = propagate_scatter(hg, d_px)
+    if hg.num_edges == 0:
+        return d_x, d_theta, np.zeros(0)
+
+    dv, r = _degrees_scatter(hg)
+    Y = X * r[:, None]
+    S = np.zeros((hg.num_edges, X.shape[1]))
+    np.add.at(S, hg._eidx, Y[hg._vidx])
+    M = S * (hg._weights / hg._sizes)[:, None]
+    Z = np.zeros_like(Y)
+    np.add.at(Z, hg._vidx, M[hg._eidx])
+
+    RdU = d_px * r[:, None]
+    Q = np.zeros((hg.num_edges, X.shape[1]))
+    np.add.at(Q, hg._eidx, RdU[hg._vidx])
+    d_w = np.einsum("ef,ef->e", Q, S / hg._sizes[:, None])
+
+    M2 = Q * (hg._weights / hg._sizes)[:, None]
+    HtRdU = np.zeros_like(Y)
+    np.add.at(HtRdU, hg._vidx, M2[hg._eidx])
+    d_r = np.einsum("vf,vf->v", d_px, Z) + np.einsum("vf,vf->v", HtRdU, X)
+    dr_ddv = np.zeros_like(dv)
+    pos = dv > 0
+    dr_ddv[pos] = -0.5 * dv[pos] ** -1.5
+    np.add.at(d_w, hg._eidx, (d_r * dr_ddv)[hg._vidx])
+    return d_x, d_theta, d_w

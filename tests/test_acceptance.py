@@ -21,7 +21,6 @@ from hgsurv.hgcore import (
     Hypergraph,
     hg_conv_backward,
     hg_conv_forward,
-    propagation_matrix,
 )
 from hgsurv.hyperedges import cosine_similarity_matrix, inter_slide_edges, intra_slide_edges
 from hgsurv.membank import MemoryBank, Modality
@@ -41,6 +40,7 @@ from hgsurv.model import (
 )
 from hgsurv.survival import hazards_from_logits, nll_loss
 from hgsurv.synth import SynthConfig, generate, generate_detailed
+from oracles import propagation_matrix
 
 SEEDS = [0, 1, 2, 3, 4]
 TOY = dict(n_patients=60, signal_strength=2.0, censor_rate=0.2)

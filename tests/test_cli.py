@@ -5,8 +5,12 @@ import os
 import numpy as np
 import pytest
 
+from hgsurv import cli, model
+from hgsurv.attention import write_heatmap
 from hgsurv.cli import main
-from hgsurv.model import init_params, load_checkpoint, substream
+from hgsurv.datamodel import load_cohort
+from hgsurv.membank import MemoryBank
+from hgsurv.model import forward_record, init_params, load_checkpoint, substream
 
 
 def run(*argv):
@@ -175,6 +179,36 @@ class TestEval:
         for total in weights.values():
             assert total == pytest.approx(1.0, abs=1e-9)
 
+    def test_heatmap_patient_prepared_once_and_bytes_unchanged(self, workspace, tmp_path, monkeypatch):
+        prepared = []
+        original = model.prepare_record
+
+        def counted(record, *args, **kwargs):
+            prepared.append(record.patient_id)
+            return original(record, *args, **kwargs)
+
+        # every binding the eval command reaches: evaluate's and the heatmap export's
+        monkeypatch.setattr(model, "prepare_record", counted)
+        monkeypatch.setattr(cli, "prepare_record", counted)
+        hm = tmp_path / "hm.csv"
+        assert run("eval", "--cohort", str(workspace / "cohort"), "--ckpt-dir",
+                   str(workspace / "train"), "--out", str(tmp_path / "o"), "--heatmap-out",
+                   str(hm), "--heatmap-patient", "P003") == 0
+        # once in its fold's evaluation pass, once for the heatmap
+        assert prepared.count("P003") == 2
+        monkeypatch.undo()
+
+        # reference bytes: the heatmap computed through forward_record
+        cohort = load_cohort(str(workspace / "cohort"))
+        params, cfg, _ = load_checkpoint(str(workspace / "train" / "fold_0.npz"))
+        bank = MemoryBank.load(str(workspace / "train" / "fold_0.bank.txt"))
+        record = next(p for p in cohort.patients if p.patient_id == "P003")
+        fwd = forward_record(record, params, cfg, bank=bank)
+        ref = tmp_path / "ref.csv"
+        write_heatmap(str(ref), fwd.gene_build.scores, model.prepare_record(record, cfg).coords,
+                      record.genes.group_names)
+        assert hm.read_bytes() == ref.read_bytes()
+
     def test_eval_rerun_manifest_identical(self, workspace, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         args = ["eval", "--cohort", str(workspace / "cohort"), "--ckpt-dir",
@@ -200,6 +234,19 @@ class TestEval:
                    "6", "--d", "16", "--w-groups", "2", "--folds", "3") == 0
         assert run("eval", "--cohort", str(other), "--ckpt-dir", str(workspace / "train"),
                    "--out", str(tmp_path / "o")) == 1
+
+    def test_bank_width_mismatch_rejected(self, workspace, tmp_path, capsys):
+        import shutil
+
+        narrow = tmp_path / "narrow"
+        shutil.copytree(workspace / "train", narrow)
+        bank = MemoryBank(d=4)
+        bank.update("P000", np.ones(4), np.ones(4))
+        bank.save(str(narrow / "fold_0.bank.txt"))
+        assert run("eval", "--cohort", str(workspace / "cohort"), "--ckpt-dir", str(narrow),
+                   "--out", str(tmp_path / "o"), "--missing", "gene") == 1
+        err = capsys.readouterr().err
+        assert "d=4" in err and "d=8" in err
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hgsurv.hgcore import (
     ConvLayerParams,
@@ -10,9 +12,15 @@ from hgsurv.hgcore import (
     hg_conv_backward_ext,
     hg_conv_forward,
     incidence,
-    propagation_matrix,
     stack_backward,
     stack_forward,
+)
+from oracles import (
+    conv_backward_dense,
+    conv_backward_scatter,
+    conv_forward_dense,
+    conv_forward_scatter,
+    propagation_matrix,
 )
 
 
@@ -260,6 +268,43 @@ class TestInvariants:
         sparse = hg_conv_forward(X, g, params)
         dense = propagation_matrix(g) @ X @ params.theta
         assert np.abs(sparse - dense).max() <= 1e-10
+
+
+@st.composite
+def hypergraphs(draw):
+    """Random hypergraphs; vertices outside every edge have degree zero."""
+    v = draw(st.integers(min_value=1, max_value=10))
+    members = st.frozensets(st.integers(min_value=0, max_value=v - 1), min_size=1)
+    weight = st.floats(min_value=0.1, max_value=5.0)
+    edges = draw(st.lists(st.tuples(members, weight), max_size=2 * v))
+    return Hypergraph(v, edges)
+
+
+class TestOracleAgreement:
+    """Forward and every backward output against the dense and the scatter oracle."""
+
+    @given(hypergraphs(), st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+    @example(Hypergraph(4, []), 0, True)  # edgeless
+    @example(Hypergraph(5, [(frozenset({0, 2}), 2.5), (frozenset({2, 3}), 0.3)]), 1, True)  # 1, 4 isolated
+    @settings(max_examples=60, deadline=None)
+    def test_matches_both_oracles(self, g, seed, nonlinear):
+        rng = np.random.default_rng(seed)
+        d_in, d_out = (int(k) for k in rng.integers(1, 5, size=2))
+        X = rng.standard_normal((g.num_vertices, d_in))
+        params = ConvLayerParams(theta=rng.standard_normal((d_in, d_out)), use_nonlinearity=nonlinear)
+        d_up = rng.standard_normal((g.num_vertices, d_out))
+        out = hg_conv_forward(X, g, params)
+        d_x, d_theta, d_w = hg_conv_backward_ext(X, g, params, d_up)
+        if d_w is None:
+            assert g.num_edges == 0
+            d_w = np.zeros(0)
+        for forward, backward in (
+            (conv_forward_dense, conv_backward_dense),
+            (conv_forward_scatter, conv_backward_scatter),
+        ):
+            np.testing.assert_allclose(out, forward(X, g, params), rtol=1e-10, atol=1e-10)
+            for got, want in zip((d_x, d_theta, d_w), backward(X, g, params, d_up)):
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
 
 def test_dump_edges(tmp_path):

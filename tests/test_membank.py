@@ -172,3 +172,9 @@ class TestSaveLoad:
         path.write_text("not a header\n")
         with pytest.raises(ValueError, match="line 1"):
             MemoryBank.load(path)
+
+    def test_duplicate_key_rejected(self, tmp_path):
+        path = tmp_path / "bank.txt"
+        path.write_text("d=2 theta=0.9 mu=1\nK 1.0 1.0 1.0 1.0\nJ 0.5 0.5 0.5 0.5\nK 0.0 0.0 0.0 0.0\n")
+        with pytest.raises(ValueError, match=r"bank\.txt line 4: duplicate key 'K'"):
+            MemoryBank.load(path)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hgsurv import model
 from hgsurv.attention import AttnParams
 from hgsurv.datamodel import Censor, GeneGroups, PatientRecord, Slide, SlideKind, SurvivalLabel
 from hgsurv.hgcore import ConvLayerParams
@@ -132,6 +133,35 @@ class TestForwardContracts:
         assert fwd.n_patches == 1
         np.testing.assert_array_equal(fwd.x_raw[0], [1.0, 2, 3, 4])
         assert np.all(np.isfinite(fwd.logits))
+
+    def test_missing_path_builds_no_slide_graph(self, monkeypatch):
+        cohort = generate(SynthConfig(n_patients=8, patches_per_slide=5, d=4, w_groups=2,
+                                      n_bins=2, seed=4))
+        cfg = TrainConfig(lam=3, beta_fraction=0.5, bins=2, seed=2)
+        params = init_params(4, 2, cohort_gene_raw_lens(cohort), cfg, substream(2, "init"))
+        bank = MemoryBank(d=4)
+        rng = np.random.default_rng(0)
+        for k in range(3):
+            bank.update(f"b{k}", rng.standard_normal(4), rng.standard_normal(4))
+        # reference: a record prepared with its pathology, which forward then withholds
+        expected = [
+            forward(prepare_record(rec, cfg), params, cfg, bank=bank, missing=Modality.PATH).output.risk
+            for rec in cohort.patients
+        ]
+        calls = {"intra_slide_edges": 0, "inter_slide_edges": 0}
+        for name in calls:
+            original = getattr(model, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(model, name, counted)
+        ev = evaluate(cohort.patients, params, cfg, bank, missing=Modality.PATH)
+        assert calls == {"intra_slide_edges": 0, "inter_slide_edges": 0}
+        assert [risk for _, risk in ev.risks] == expected  # bit-identical
+        evaluate(cohort.patients, params, cfg, bank)
+        assert calls["intra_slide_edges"] > 0 and calls["inter_slide_edges"] > 0
 
     def test_both_missing_rejected(self):
         rec, cfg, params = micro_setup()
