@@ -72,21 +72,30 @@ def _load_config_file(args) -> dict:
         raise ValidationError(f"config file {args.config}: {exc}") from exc
 
 
+# Fields whose flag is spelled differently; a config file may use either name.
+_FLAG_NAMES = {"weight_decay": "wd", "beta_fraction": "beta_frac", "fusion_mode": "fusion"}
+_FIELD_NAMES = {flag: name for name, flag in _FLAG_NAMES.items()}
+
+
 def _train_config(args) -> TrainConfig:
-    cf = _load_config_file(args)
-    d = TrainConfig()  # defaults
+    """Every TrainConfig field from its flag, else the --config file, else the default."""
+    raw = _load_config_file(args)
+    resolved = TrainConfig().to_dict()
+    unknown = sorted(set(raw) - set(resolved) - set(_FIELD_NAMES))
+    if unknown:
+        raise ValidationError(f"config file {args.config}: unknown key(s) {', '.join(unknown)}")
+    cf = {_FIELD_NAMES.get(k, k): v for k, v in raw.items()}
+    if len(cf) < len(raw):
+        raise ValidationError(f"config file {args.config}: a field is set under both its names")
+    for name, default in resolved.items():
+        flag = getattr(args, _FLAG_NAMES.get(name, name), None)
+        value = cf.get(name, default) if flag is None else flag
+        try:
+            resolved[name] = value if isinstance(default, str) else type(default)(value)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{name}: {exc}") from exc
     try:
-        return TrainConfig(
-            lr=float(_resolve(args, "lr", cf, d.lr)),
-            weight_decay=float(_resolve(args, "wd", cf, d.weight_decay)),
-            epochs=int(_resolve(args, "epochs", cf, d.epochs)),
-            lam=int(_resolve(args, "lam", cf, d.lam)),
-            beta_fraction=float(_resolve(args, "beta_frac", cf, d.beta_fraction)),
-            seed=int(_resolve(args, "seed", cf, d.seed)),
-            bins=int(_resolve(args, "bins", cf, d.bins)),
-            edge_mode=EdgeMode(_resolve(args, "edge_mode", cf, d.edge_mode.value)),
-            fusion_mode=FusionMode(_resolve(args, "fusion", cf, d.fusion_mode.value)),
-        )
+        return TrainConfig.from_dict(resolved)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 

@@ -3,8 +3,13 @@
 During training every patient's pooled summaries are written with a
 momentum rule (theta weights the NEW features). At inference the bank
 substitutes a missing modality: cosine-match the available summary
-against the stored column of the same modality, then softmax-average the
-missing column over the top-mu entries.
+against the stored column of the same modality in one vectorized pass (a
+zero norm product scores 0; np.einsum, unlike BLAS gemv, rounds equal rows
+equally, so exact ties stay exact), then softmax-average the missing
+column over the top-mu entries, ties going to the lowest entry index.
+
+Entry i is row i of the pathology and genomic columns, two K x d matrices
+in one float64 buffer that doubles when full. Non-finite input is rejected.
 
 File format: header `d=<int> theta=<real> mu=<int>`, then one line per
 entry `key_id p0 ... p{d-1} g0 ... g{d-1}` in decimal text; floats are
@@ -14,6 +19,7 @@ rejects a repeated key rather than momentum-blending it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -26,83 +32,72 @@ class Modality(Enum):
 
 
 @dataclass
-class BankEntry:
-    key_id: str
-    path_vec: np.ndarray
-    gene_vec: np.ndarray
-
-
-def _cosine(u: np.ndarray, v: np.ndarray) -> float:
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0 or nv == 0:
-        return 0.0  # zero-norm vectors score 0 against everything
-    return float(u @ v / (nu * nv))
-
-
-@dataclass
 class MemoryBank:
     d: int
     theta: float = 0.9  # momentum on the new features
     mu: int = 1  # retrieval count
-    entries: list[BankEntry] = field(default_factory=list)
-    _index: dict[str, int] = field(default_factory=dict, repr=False)
+    key_ids: list[str] = field(default_factory=list, init=False)
+    _index: dict[str, int] = field(default_factory=dict, init=False, repr=False)
+    _buf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [0, 1]")
         if self.mu < 1:
             raise ValueError("mu must be >= 1")
-        self._index = {e.key_id: i for i, e in enumerate(self.entries)}
+        self._buf = np.empty((2, 0, self.d))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.key_ids)
+
+    def column(self, modality: Modality) -> np.ndarray:
+        """Read-only K x d view of one modality's stored vectors; row i is entry i."""
+        view = self._buf[0 if modality is Modality.PATH else 1, : len(self)]
+        view.flags.writeable = False
+        return view
+
+    def _checked(self, vecs: list, what: str) -> np.ndarray:
+        if any(np.shape(v) != (self.d,) for v in vecs):
+            raise ValueError(f"{what} must have length {self.d}")
+        arr = np.array(vecs, dtype=np.float64)  # one (len(vecs), d) array, one finite check
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{what} must be finite")
+        return arr
 
     def update(self, key_id: str, path_vec: np.ndarray, gene_vec: np.ndarray) -> None:
-        path_vec = np.asarray(path_vec, dtype=np.float64)
-        gene_vec = np.asarray(gene_vec, dtype=np.float64)
-        if path_vec.shape != (self.d,) or gene_vec.shape != (self.d,):
-            raise ValueError(f"bank vectors must have length {self.d}")
-        if key_id not in self._index:
-            self._index[key_id] = len(self.entries)
-            self.entries.append(BankEntry(key_id, path_vec.copy(), gene_vec.copy()))
+        pair = self._checked([path_vec, gene_vec], "bank vectors")
+        row = self._index.get(key_id)
+        if row is not None:
+            self._buf[:, row] = self.theta * pair + (1.0 - self.theta) * self._buf[:, row]
             return
-        e = self.entries[self._index[key_id]]
-        e.path_vec = self.theta * path_vec + (1.0 - self.theta) * e.path_vec
-        e.gene_vec = self.theta * gene_vec + (1.0 - self.theta) * e.gene_vec
+        row = len(self)
+        if row == self._buf.shape[1]:  # full: double the capacity
+            self._buf = np.concatenate([self._buf, np.empty((2, max(1, row), self.d))], axis=1)
+        self._buf[:, row] = pair
+        self._index[key_id] = row
+        self.key_ids.append(key_id)
 
     def retrieve_missing(
         self, available_vec: np.ndarray, available: Modality, mu: int | None = None
     ) -> np.ndarray:
         """Softmax-weighted top-mu aggregate of the missing modality's column."""
-        if not self.entries:
+        if not (n := len(self)):
             raise ValueError("cold memory: bank is empty")
-        available_vec = np.asarray(available_vec, dtype=np.float64)
-        if available_vec.shape != (self.d,):
-            raise ValueError(f"query must have length {self.d}")
-        mu = self.mu if mu is None else mu
-        mu = min(mu, len(self.entries))
-        if available is Modality.PATH:
-            keys = [e.path_vec for e in self.entries]
-            values = [e.gene_vec for e in self.entries]
-        else:
-            keys = [e.gene_vec for e in self.entries]
-            values = [e.path_vec for e in self.entries]
-        sims = np.array([_cosine(available_vec, k) for k in keys])
+        query = self._checked([available_vec], "query")[0]
+        mu = min(self.mu if mu is None else mu, n)
+        other = Modality.GENE if available is Modality.PATH else Modality.PATH
+        keys, values = self.column(available), self.column(other)
+        norms = np.sqrt(np.einsum("ij,ij->i", keys, keys)) * np.linalg.norm(query)
+        sims = np.divide(np.einsum("ij,j->i", keys, query), norms, out=np.zeros(n), where=norms != 0)
         order = np.argsort(-sims, kind="stable")[:mu]  # ties -> lowest entry index
-        sel = sims[order]
-        w = np.exp(sel - sel.max())
-        w /= w.sum()
-        out = np.zeros(self.d, dtype=np.float64)
-        for weight, idx in zip(w, order):
-            out += weight * values[idx]
-        return out
+        w = np.exp(sims[order] - sims[order[0]])  # order[0] holds the maximum
+        return (w / w.sum()) @ values[order]
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(f"d={self.d} theta={self.theta!r} mu={self.mu}\n")
-            for e in self.entries:
-                vals = [repr(float(v)) for v in e.path_vec] + [repr(float(v)) for v in e.gene_vec]
-                fh.write(" ".join([e.key_id] + vals) + "\n")
+            for key_id, p, g in zip(self.key_ids, *self._buf[:, : len(self)].tolist()):
+                fh.write(" ".join([key_id] + [repr(v) for v in p + g]) + "\n")
 
     @classmethod
     def load(cls, path) -> "MemoryBank":
@@ -118,6 +113,7 @@ class MemoryBank:
             raise ValueError(f"{path} line 1: malformed header {lines[0]!r}")
         d = int(head["d"])
         bank = cls(d=d, theta=float(head["theta"]), mu=int(head.get("mu", 1)))
+        rows = []
         for lineno, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
@@ -126,6 +122,10 @@ class MemoryBank:
                 raise ValueError(f"{path} line {lineno}: expected {1 + 2 * d} fields, got {len(parts)}")
             if parts[0] in bank._index:
                 raise ValueError(f"{path} line {lineno}: duplicate key {parts[0]!r}")
-            vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
-            bank.update(parts[0], vec[:d], vec[d:])
+            rows.append([float(v) for v in parts[1:]])
+            if not all(map(math.isfinite, rows[-1])):
+                raise ValueError(f"{path} line {lineno}: non-finite value")
+            bank._index[parts[0]] = len(bank.key_ids)
+            bank.key_ids.append(parts[0])
+        bank._buf = np.array(rows, dtype=np.float64).reshape(-1, 2, d).transpose(1, 0, 2).copy()
         return bank

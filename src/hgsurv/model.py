@@ -84,6 +84,8 @@ class TrainConfig:
             raise ValueError("invalid training configuration")
         if not 0 < self.beta_fraction <= 1:
             raise ValueError("beta_fraction must be in (0, 1]")
+        if self.n_max < 1 or self.bank_mu < 1 or not 0 <= self.bank_theta <= 1:
+            raise ValueError("n_max and bank_mu must be >= 1 and bank_theta in [0, 1]")
 
     def to_dict(self) -> dict:
         out = {}

@@ -1,7 +1,8 @@
-"""Slow reference implementations of the hypergraph convolution.
+"""Slow reference implementations of the hypergraph convolution and of
+the memory bank's retrieval.
 
-Two oracles, independent of each other and of ``hgsurv.hgcore``'s cached
-operator:
+Two convolution oracles, independent of each other and of ``hgsurv.hgcore``'s
+cached operator:
 
 - dense: P realized from explicit diagonal matrices, and the edge-weight
   gradient from the Jacobian dP/dw_e written out per edge;
@@ -10,6 +11,9 @@ operator:
 
 Each ``conv_backward_*`` returns (dL/dX, dL/dTheta, dL/dweights) of
 ``sum(hg_conv_forward(X, hg, params) * d_out)``.
+
+``bank_retrieve_scan`` is ``MemoryBank.retrieve_missing`` as a per-entry
+scalar scan over the stored rows.
 """
 
 from __future__ import annotations
@@ -133,3 +137,23 @@ def conv_backward_scatter(X, hg: Hypergraph, params: ConvLayerParams, d_out):
     dr_ddv[pos] = -0.5 * dv[pos] ** -1.5
     np.add.at(d_w, hg._eidx, (d_r * dr_ddv)[hg._vidx])
     return d_x, d_theta, d_w
+
+
+def _cosine(u: np.ndarray, v: np.ndarray) -> float:
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if nu == 0 or nv == 0:
+        return 0.0  # zero-norm vectors score 0 against everything
+    return float(u @ v / (nu * nv))
+
+
+def bank_retrieve_scan(keys, values, query: np.ndarray, mu: int) -> np.ndarray:
+    """Softmax-weighted sum of the values of the top-mu keys by cosine, ties to the lowest index."""
+    sims = np.array([_cosine(query, k) for k in keys])
+    order = np.argsort(-sims, kind="stable")[:mu]
+    sel = sims[order]
+    w = np.exp(sel - sel.max())
+    w /= w.sum()
+    out = np.zeros(len(query), dtype=np.float64)
+    for weight, idx in zip(w, order):
+        out += weight * values[idx]
+    return out

@@ -42,6 +42,8 @@ from hgsurv.survival import hazards_from_logits, nll_loss
 from hgsurv.synth import SynthConfig, generate, generate_detailed
 from oracles import propagation_matrix
 
+pytestmark = pytest.mark.slow  # minutes of training: `pytest -m "not slow"` leaves them out
+
 SEEDS = [0, 1, 2, 3, 4]
 TOY = dict(n_patients=60, signal_strength=2.0, censor_rate=0.2)
 RECIPE = dict(lr=2e-3, epochs=15, lam=9, beta_fraction=0.25, bins=4)
@@ -355,8 +357,8 @@ def test_criterion_6_memory_bank_contracts(tmp_path):
             nu, nv = np.linalg.norm(u), np.linalg.norm(v)
             return 0.0 if nu == 0 or nv == 0 else float(u @ v / (nu * nv))
 
-        keys = [e.path_vec if avail is Modality.PATH else e.gene_vec for e in bank.entries]
-        vals = [e.gene_vec if avail is Modality.PATH else e.path_vec for e in bank.entries]
+        keys = list(bank.column(avail))
+        vals = list(bank.column(Modality.GENE if avail is Modality.PATH else Modality.PATH))
         best = min(range(n), key=lambda i: (-cos(q, keys[i]), i))
         got = bank.retrieve_missing(q, avail, mu=1)
         np.testing.assert_array_equal(got, vals[best])  # mu=1 == exact nearest neighbor

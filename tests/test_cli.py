@@ -124,6 +124,33 @@ class TestTrain:
         assert resolved["epochs"] == 1 and resolved["lr"] == 1e-3  # config file wins
         assert resolved["weight_decay"] == 1e-5  # default preserved
 
+    def test_unknown_config_key_rejected(self, workspace, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"bogus_key": 1, "epochs": 1}))
+        assert run("train", "--cohort", str(workspace / "cohort"),
+                   "--out", str(tmp_path / "o"), "--config", str(cfg_file)) == 1
+        assert "bogus_key" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("bad", [{"bank_mu": 0}, {"n_max": "many"}, {"wd": 1e-3, "weight_decay": 1e-4}])
+    def test_invalid_config_value_rejected(self, workspace, tmp_path, bad):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(bad))
+        assert run("train", "--cohort", str(workspace / "cohort"),
+                   "--out", str(tmp_path / "o"), "--config", str(cfg_file)) == 1
+
+    def test_config_sets_every_field(self, workspace, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"n_max": 32, "bank_mu": 2, "wd": 1e-4}))
+        out = tmp_path / "cfgd"
+        assert run("train", "--cohort", str(workspace / "cohort"), "--out", str(out),
+                   "--config", str(cfg_file), "--folds", "2", *TRAIN) == 0
+        with open(out / "manifest.json") as fh:
+            resolved = json.load(fh)["config"]
+        assert resolved["n_max"] == 32 and resolved["bank_mu"] == 2
+        assert resolved["weight_decay"] == 1e-4  # a flag spelling is accepted as a key
+        assert MemoryBank.load(str(out / "fold_0.bank.txt")).mu == 2
+
     def test_malformed_config_file(self, workspace, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text("{not json")

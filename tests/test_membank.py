@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hgsurv.membank import MemoryBank, Modality
+from oracles import bank_retrieve_scan
 
 
 def bank_with(entries, d=2, theta=0.9, mu=1):
@@ -17,37 +18,47 @@ class TestUpdate:
     def test_theta_one_replaces(self):
         b = bank_with([("k", [1, 1], [2, 2])], theta=1.0)
         b.update("k", np.array([5.0, 6.0]), np.array([7.0, 8.0]))
-        np.testing.assert_array_equal(b.entries[0].path_vec, [5, 6])
-        np.testing.assert_array_equal(b.entries[0].gene_vec, [7, 8])
+        np.testing.assert_array_equal(b.column(Modality.PATH)[0], [5, 6])
+        np.testing.assert_array_equal(b.column(Modality.GENE)[0], [7, 8])
 
     def test_theta_zero_keeps_first(self):
         b = bank_with([("k", [1, 1], [2, 2])], theta=0.0)
         b.update("k", np.array([9.0, 9.0]), np.array([9.0, 9.0]))
-        np.testing.assert_array_equal(b.entries[0].path_vec, [1, 1])
-        np.testing.assert_array_equal(b.entries[0].gene_vec, [2, 2])
+        np.testing.assert_array_equal(b.column(Modality.PATH)[0], [1, 1])
+        np.testing.assert_array_equal(b.column(Modality.GENE)[0], [2, 2])
 
     def test_half_momentum_hand_combination(self):
         b = bank_with([("k", [0, 0], [0, 0])], theta=0.5)
         b.update("k", np.array([2.0, 4.0]), np.array([6.0, 8.0]))
-        np.testing.assert_allclose(b.entries[0].path_vec, [1, 2])
-        np.testing.assert_allclose(b.entries[0].gene_vec, [3, 4])
+        np.testing.assert_allclose(b.column(Modality.PATH)[0], [1, 2])
+        np.testing.assert_allclose(b.column(Modality.GENE)[0], [3, 4])
 
     def test_identical_update_is_fixed_point(self):
         for theta in (0.0, 0.3, 0.9, 1.0):
             b = bank_with([("k", [1.5, -2.0], [0.5, 0.25])], theta=theta)
-            before_p = b.entries[0].path_vec.copy()
+            before_p = b.column(Modality.PATH)[0].copy()
             b.update("k", np.array([1.5, -2.0]), np.array([0.5, 0.25]))
-            np.testing.assert_allclose(b.entries[0].path_vec, before_p, atol=1e-15)
+            np.testing.assert_allclose(b.column(Modality.PATH)[0], before_p, atol=1e-15)
 
     def test_dim_mismatch(self):
         b = MemoryBank(d=3)
         with pytest.raises(ValueError):
             b.update("k", np.ones(2), np.ones(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        b = bank_with([("k", [1, 1], [2, 2])])
+        with pytest.raises(ValueError, match="finite"):
+            b.update("k", np.array([bad, 0.0]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            b.update("j", np.array([1.0, 1.0]), np.array([0.0, bad]))
+        assert len(b) == 1
+        np.testing.assert_array_equal(b.column(Modality.PATH), [[1, 1]])
+
     def test_new_key_inserted_as_is(self):
         b = MemoryBank(d=2, theta=0.25)
         b.update("k", np.array([3.0, 4.0]), np.array([5.0, 6.0]))
-        np.testing.assert_array_equal(b.entries[0].path_vec, [3, 4])
+        np.testing.assert_array_equal(b.column(Modality.PATH)[0], [3, 4])
 
 
 class TestRetrieve:
@@ -82,6 +93,13 @@ class TestRetrieve:
         got = b.retrieve_missing(np.array([0.0, 2.0]), Modality.GENE, mu=1)
         np.testing.assert_array_equal(got, [4, 4])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        b = bank_with([("a", [1, 0], [10, 0]), ("b", [0, 1], [0, 10])])
+        for avail in Modality:
+            with pytest.raises(ValueError, match="query must be finite"):
+                b.retrieve_missing(np.array([bad, 0.0]), avail)
+
     def test_cold_memory(self):
         with pytest.raises(ValueError, match="cold memory"):
             MemoryBank(d=2).retrieve_missing(np.array([1.0, 0.0]), Modality.PATH)
@@ -95,6 +113,15 @@ class TestRetrieve:
         b = bank_with([("a", [1, 0], [111, 0]), ("b", [1, 0], [222, 0])])
         got = b.retrieve_missing(np.array([1.0, 0.0]), Modality.PATH, mu=1)
         np.testing.assert_array_equal(got, [111, 0])
+
+    def test_equal_keys_tie_to_first_at_model_width(self):
+        # every key equal: each query must pick entry 0, whatever the row's offset
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            key = rng.standard_normal(32)
+            b = bank_with([(f"k{i}", key, np.full(32, float(i))) for i in range(43)], d=32)
+            for q in (rng.standard_normal(32), key):
+                np.testing.assert_array_equal(b.retrieve_missing(q, Modality.PATH, mu=1), np.zeros(32))
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)
@@ -120,12 +147,87 @@ class TestRetrieve:
             nu, nv = np.linalg.norm(u), np.linalg.norm(v)
             return 0.0 if nu == 0 or nv == 0 else float(u @ v / (nu * nv))
 
-        order = sorted(range(n), key=lambda i: (-cos(q, b.entries[i].path_vec), i))[:mu]
-        sel = np.array([b.entries[i].gene_vec for i in order])
+        order = sorted(range(n), key=lambda i: (-cos(q, b.column(Modality.PATH)[i]), i))[:mu]
+        sel = np.array([b.column(Modality.GENE)[i] for i in order])
         # supporting-hyperplane criterion along many random directions
         for u in rng.standard_normal((50, d)):
             proj = sel @ u
             assert proj.min() - 1e-9 <= out @ u <= proj.max() + 1e-9
+
+
+ROW_KINDS = ("normal", "zero", "duplicate", "doubled", "integer")
+
+
+@st.composite
+def bank_histories(draw):
+    """Rows of each kind inserted in drawn order, then momentum updates of drawn rows.
+
+    Returns the bank and a plain replay of its rows as [key, path, gene] lists.
+    """
+    d = draw(st.integers(min_value=1, max_value=40))
+    theta = draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))
+    kinds = draw(st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=70))
+    n_updates = draw(st.integers(min_value=0, max_value=8))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    bank, rows = MemoryBank(d=d, theta=theta), []
+    for i, kind in enumerate(kinds):
+        if kind in ("duplicate", "doubled") and rows:
+            _, p, g = rows[int(rng.integers(len(rows)))]
+            p, g = (p, g) if kind == "duplicate" else (2.0 * p, 2.0 * g)
+        elif kind == "zero":
+            p, g = np.zeros(d), np.zeros(d)
+        elif kind == "integer":  # entries in {-1, 0, 1}: parallel rows differ by powers of 2 only,
+            # so mathematically equal cosines stay exactly equal under any summation order
+            p, g = (rng.integers(-1, 2, d).astype(float) for _ in range(2))
+        else:
+            p, g = rng.standard_normal(d), rng.standard_normal(d)
+        bank.update(f"k{i}", p, g)
+        rows.append([f"k{i}", p.copy(), g.copy()])
+    for _ in range(n_updates):
+        row = rows[int(rng.integers(len(rows)))]
+        p, g = rng.standard_normal(d), rng.standard_normal(d)
+        bank.update(row[0], p, g)
+        row[1] = theta * p + (1.0 - theta) * row[1]
+        row[2] = theta * g + (1.0 - theta) * row[2]
+    return bank, rows
+
+
+class TestScanOracle:
+    @given(
+        bank_histories(),
+        st.sampled_from(["normal", "zero", "stored", "integer"]),
+        st.integers(min_value=2, max_value=80),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    @example(
+        (bank_with([("a", [0, 0], [1, 2]), ("b", [3, 4], [5, 6]), ("c", [3, 4], [7, 8])]),
+         [["a", np.zeros(2), np.array([1.0, 2.0])], ["b", np.array([3.0, 4.0]), np.array([5.0, 6.0])],
+          ["c", np.array([3.0, 4.0]), np.array([7.0, 8.0])]]),
+        "stored", 2, 0,
+    )
+    def test_matches_scalar_scan(self, history, query_kind, mu, seed):
+        bank, rows = history
+        rng = np.random.default_rng(seed)
+        assert len(bank) == len(rows) and bank.key_ids == [r[0] for r in rows]
+        for avail, col, other in ((Modality.PATH, 1, 2), (Modality.GENE, 2, 1)):
+            keys, values = [r[col] for r in rows], [r[other] for r in rows]
+            np.testing.assert_array_equal(bank.column(avail), np.array(keys))  # momentum bit-identical
+            if query_kind == "zero":
+                q = np.zeros(bank.d)
+            elif query_kind == "stored":
+                q = keys[int(rng.integers(len(keys)))].copy()
+            elif query_kind == "integer":
+                q = rng.integers(-3, 4, bank.d).astype(float)
+            else:
+                q = rng.standard_normal(bank.d)
+            np.testing.assert_array_equal(
+                bank.retrieve_missing(q, avail, mu=1), bank_retrieve_scan(keys, values, q, 1)
+            )
+            np.testing.assert_allclose(
+                bank.retrieve_missing(q, avail, mu=mu), bank_retrieve_scan(keys, values, q, mu),
+                rtol=0, atol=1e-12,
+            )
 
 
 class TestSaveLoad:
@@ -149,10 +251,9 @@ class TestSaveLoad:
         b.save(path)
         loaded = MemoryBank.load(path)
         assert loaded.theta == b.theta
-        for ea, eb in zip(b.entries, loaded.entries):
-            assert ea.key_id == eb.key_id
-            np.testing.assert_array_equal(ea.path_vec, eb.path_vec)
-            np.testing.assert_array_equal(ea.gene_vec, eb.gene_vec)
+        assert b.key_ids == loaded.key_ids
+        np.testing.assert_array_equal(b.column(Modality.PATH), loaded.column(Modality.PATH))
+        np.testing.assert_array_equal(b.column(Modality.GENE), loaded.column(Modality.GENE))
         # and the file itself round-trips byte-identically
         path2 = tmp_path / "bank2.txt"
         loaded.save(path2)
@@ -177,4 +278,11 @@ class TestSaveLoad:
         path = tmp_path / "bank.txt"
         path.write_text("d=2 theta=0.9 mu=1\nK 1.0 1.0 1.0 1.0\nJ 0.5 0.5 0.5 0.5\nK 0.0 0.0 0.0 0.0\n")
         with pytest.raises(ValueError, match=r"bank\.txt line 4: duplicate key 'K'"):
+            MemoryBank.load(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_field_rejected(self, tmp_path, bad):
+        path = tmp_path / "bank.txt"
+        path.write_text(f"d=2 theta=0.9 mu=1\nK 1.0 1.0 1.0 1.0\nJ 0.5 {bad} 0.5 0.5\n")
+        with pytest.raises(ValueError, match=r"bank\.txt line 3: non-finite"):
             MemoryBank.load(path)
