@@ -81,9 +81,7 @@ def _train_config(args) -> TrainConfig:
     """Every TrainConfig field from its flag, else the --config file, else the default."""
     raw = _load_config_file(args)
     resolved = TrainConfig().to_dict()
-    unknown = sorted(set(raw) - set(resolved) - set(_FIELD_NAMES))
-    if unknown:
-        raise ValidationError(f"config file {args.config}: unknown key(s) {', '.join(unknown)}")
+    _reject_unknown_keys(args, raw, [*resolved, *_FIELD_NAMES])
     cf = {_FIELD_NAMES.get(k, k): v for k, v in raw.items()}
     if len(cf) < len(raw):
         raise ValidationError(f"config file {args.config}: a field is set under both its names")
@@ -131,26 +129,36 @@ def _load_cohort_checked(path: str) -> Cohort:
     return cohort
 
 
+# generate's config keys (its flags' names) and their defaults
+_GENERATE_DEFAULTS = dict(n=60, slides_min=2, slides_max=3, patches=16, d=32, w_groups=6, signal=1.0,
+                          censor_rate=0.2, seed=0, noise=1.5, bins=4, folds=5)
+
+
+def _reject_unknown_keys(args, raw: dict, known) -> None:
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise ValidationError(f"config file {args.config}: unknown key(s) {', '.join(unknown)}")
+
+
 def cmd_generate(args) -> int:
     cf = _load_config_file(args)
+    _reject_unknown_keys(args, cf, _GENERATE_DEFAULTS)
+    v = {k: _resolve(args, k, cf, default) for k, default in _GENERATE_DEFAULTS.items()}
     try:
         config = SynthConfig(
-            n_patients=int(_resolve(args, "n", cf, 60)),
-            slides_per_patient=(
-                int(_resolve(args, "slides_min", cf, 2)),
-                int(_resolve(args, "slides_max", cf, 3)),
-            ),
-            patches_per_slide=int(_resolve(args, "patches", cf, 16)),
-            d=int(_resolve(args, "d", cf, 32)),
-            w_groups=int(_resolve(args, "w_groups", cf, 6)),
-            signal_strength=float(_resolve(args, "signal", cf, 1.0)),
-            censor_rate=float(_resolve(args, "censor_rate", cf, 0.2)),
-            seed=int(_resolve(args, "seed", cf, 0)),
-            feature_noise=float(_resolve(args, "noise", cf, 1.5)),
-            n_bins=int(_resolve(args, "bins", cf, 4)),
-            n_folds=int(_resolve(args, "folds", cf, 5)),
+            n_patients=int(v["n"]),
+            slides_per_patient=(int(v["slides_min"]), int(v["slides_max"])),
+            patches_per_slide=int(v["patches"]),
+            d=int(v["d"]),
+            w_groups=int(v["w_groups"]),
+            signal_strength=float(v["signal"]),
+            censor_rate=float(v["censor_rate"]),
+            seed=int(v["seed"]),
+            feature_noise=float(v["noise"]),
+            n_bins=int(v["bins"]),
+            n_folds=int(v["folds"]),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValidationError(str(exc)) from exc
     cohort = generate(config)
     save_cohort(cohort, args.out)

@@ -89,7 +89,10 @@ class MemoryBank:
         keys, values = self.column(available), self.column(other)
         norms = np.sqrt(np.einsum("ij,ij->i", keys, keys)) * np.linalg.norm(query)
         sims = np.divide(np.einsum("ij,j->i", keys, query), norms, out=np.zeros(n), where=norms != 0)
-        order = np.argsort(-sims, kind="stable")[:mu]  # ties -> lowest entry index
+        # top-mu, ties -> lowest entry index: only the entries at or above the mu-th largest
+        # value are stably sorted
+        top = np.flatnonzero(sims >= np.partition(sims, n - mu)[n - mu])
+        order = top[np.argsort(-sims[top], kind="stable")[:mu]]
         w = np.exp(sims[order] - sims[order[0]])  # order[0] holds the maximum
         return (w / w.sum()) @ values[order]
 
@@ -122,7 +125,10 @@ class MemoryBank:
                 raise ValueError(f"{path} line {lineno}: expected {1 + 2 * d} fields, got {len(parts)}")
             if parts[0] in bank._index:
                 raise ValueError(f"{path} line {lineno}: duplicate key {parts[0]!r}")
-            rows.append([float(v) for v in parts[1:]])
+            try:
+                rows.append([float(v) for v in parts[1:]])
+            except ValueError as exc:
+                raise ValueError(f"{path} line {lineno}: {exc}") from None
             if not all(map(math.isfinite, rows[-1])):
                 raise ValueError(f"{path} line {lineno}: non-finite value")
             bank._index[parts[0]] = len(bank.key_ids)

@@ -21,6 +21,7 @@ already-encoded stand-in node that flows through the remaining stages.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import dataclass
 from enum import Enum
@@ -107,8 +108,46 @@ def substream(seed: int, *tags) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
+def param_layout(d: int, n_bins: int, gene_raw_lens: list[int], n_ms: int, n_ga: int) -> list:
+    """(name, shape) of every parameter, in the order of the flat buffer."""
+    layout = [("adapter_w", (d, d)), ("adapter_b", (d,))]
+    for w, m in enumerate(gene_raw_lens):
+        layout += [(f"gene{w}_w1", (m, d)), (f"gene{w}_b1", (d,))]
+        layout += [(f"gene{w}_w2", (d, d)), (f"gene{w}_b2", (d,))]
+    layout += [("attn_wq", (d, d)), ("attn_wk", (d, d))]
+    layout += [(f"ms{i}_theta", (d, d)) for i in range(n_ms)]
+    layout += [(f"ga{i}_theta", (d, d)) for i in range(n_ga)]
+    return layout + [("head_w", (2 * d, n_bins)), ("head_b", (n_bins,))]
+
+
+class FlatViews(dict):
+    """Name -> view into one new zeroed float64 vector ``flat``, in layout order."""
+
+    def __init__(self, layout: list[tuple[str, tuple[int, ...]]]):
+        super().__init__()
+        self.layout, self.flat = layout, np.zeros(sum(math.prod(shape) for _, shape in layout))
+        start = 0
+        for name, shape in layout:
+            self[name] = self.flat[start : (start := start + math.prod(shape))].reshape(shape)
+
+
+def _fields(named, ms_nonlin: list[bool], ga_nonlin: list[bool]) -> dict:
+    """ModelParams constructor arguments over a name -> array mapping."""
+    out = {k: named[k] for k in ("adapter_w", "adapter_b", "head_w", "head_b")}
+    n_groups = sum(name.endswith("_w1") for name in named)
+    for part in ("w1", "b1", "w2", "b2"):
+        out[f"gene_{part}"] = [named[f"gene{w}_{part}"] for w in range(n_groups)]
+    out["attn"] = AttnParams(wq=named["attn_wq"], wk=named["attn_wk"])
+    for k, nls in (("ms", ms_nonlin), ("ga", ga_nonlin)):
+        out[f"{k}_layers"] = [ConvLayerParams(named[f"{k}{i}_theta"], nl) for i, nl in enumerate(nls)]
+    return out
+
+
 @dataclass
 class ModelParams:
+    """Parameters in one flat float64 vector, ``arrays().flat``: the constructor copies the
+    given arrays into it and rebinds every array field, attn and layer theta to a view."""
+
     adapter_w: np.ndarray  # d x d
     adapter_b: np.ndarray  # d
     gene_w1: list[np.ndarray]  # per group, raw_len x d
@@ -121,6 +160,24 @@ class ModelParams:
     head_w: np.ndarray  # 2d x B
     head_b: np.ndarray  # B
 
+    def __post_init__(self):
+        stacks = {"ms": self.ms_layers, "ga": self.ga_layers}
+        raw_lens = [np.shape(w1)[0] for w1 in self.gene_w1]
+        views = FlatViews(param_layout(self.d, self.n_bins, raw_lens, *map(len, stacks.values())))
+        given = {k: getattr(self, k) for k in ("adapter_w", "adapter_b", "head_w", "head_b")}
+        given.update(attn_wq=self.attn.wq, attn_wk=self.attn.wk)
+        for part in ("w1", "b1", "w2", "b2"):
+            given.update((f"gene{w}_{part}", a) for w, a in enumerate(getattr(self, f"gene_{part}")))
+        given.update((f"{k}{i}_theta", l.theta) for k, s in stacks.items() for i, l in enumerate(s))
+        if given.keys() != views.keys():
+            raise ValueError(f"parameters {sorted(given.keys() ^ views.keys())} do not fit the layout")
+        for name, view in views.items():  # by name: param_layout alone fixes the order
+            if np.shape(given[name]) != view.shape:
+                raise ValueError(f"{name} has shape {np.shape(given[name])}, expected {view.shape}")
+            view[...] = given[name]
+        nonlin = [[layer.use_nonlinearity for layer in stack] for stack in stacks.values()]
+        self.__dict__.update(_fields(views, *nonlin), _views=views)
+
     @property
     def d(self) -> int:
         return self.adapter_w.shape[0]
@@ -129,27 +186,9 @@ class ModelParams:
     def n_bins(self) -> int:
         return self.head_b.shape[0]
 
-    @property
-    def n_groups(self) -> int:
-        return len(self.gene_w1)
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        """Name -> live array reference, in a stable order."""
-        out = {"adapter_w": self.adapter_w, "adapter_b": self.adapter_b}
-        for w in range(self.n_groups):
-            out[f"gene{w}_w1"] = self.gene_w1[w]
-            out[f"gene{w}_b1"] = self.gene_b1[w]
-            out[f"gene{w}_w2"] = self.gene_w2[w]
-            out[f"gene{w}_b2"] = self.gene_b2[w]
-        out["attn_wq"] = self.attn.wq
-        out["attn_wk"] = self.attn.wk
-        for i, layer in enumerate(self.ms_layers):
-            out[f"ms{i}_theta"] = layer.theta
-        for i, layer in enumerate(self.ga_layers):
-            out[f"ga{i}_theta"] = layer.theta
-        out["head_w"] = self.head_w
-        out["head_b"] = self.head_b
-        return out
+    def arrays(self) -> FlatViews:
+        """Name -> view into the flat buffer, in layout order."""
+        return self._views
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -160,23 +199,13 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 def init_params(
     d: int, n_bins: int, gene_raw_lens: list[int], cfg: TrainConfig, rng: np.random.Generator
 ) -> ModelParams:
-    gene_w1 = [_glorot(rng, m, d) for m in gene_raw_lens]
-    gene_b1 = [np.zeros(d) for _ in gene_raw_lens]
-    gene_w2 = [_glorot(rng, d, d) for _ in gene_raw_lens]
-    gene_b2 = [np.zeros(d) for _ in gene_raw_lens]
-    return ModelParams(
-        adapter_w=_glorot(rng, d, d),
-        adapter_b=np.zeros(d),
-        gene_w1=gene_w1,
-        gene_b1=gene_b1,
-        gene_w2=gene_w2,
-        gene_b2=gene_b2,
-        attn=AttnParams(wq=_glorot(rng, d, d), wk=_glorot(rng, d, d)),
-        ms_layers=[ConvLayerParams(theta=_glorot(rng, d, d)) for _ in range(cfg.ms_layers)],
-        ga_layers=[ConvLayerParams(theta=_glorot(rng, d, d)) for _ in range(cfg.ga_layers)],
-        head_w=_glorot(rng, 2 * d, n_bins),
-        head_b=np.zeros(n_bins),
-    )
+    """Zero biases; Glorot matrices drawn every gene_w1, every gene_w2, then in layout order."""
+    arrays = FlatViews(param_layout(d, n_bins, gene_raw_lens, cfg.ms_layers, cfg.ga_layers))
+    draws = [f"gene{w}_{part}" for part in ("w1", "w2") for w in range(len(gene_raw_lens))]
+    draws += [name for name, shape in arrays.layout if len(shape) == 2 and not name.startswith("gene")]
+    for name in draws:
+        arrays[name][...] = _glorot(rng, *arrays[name].shape)
+    return ModelParams(**_fields(arrays, [True] * cfg.ms_layers, [True] * cfg.ga_layers))
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +407,8 @@ def forward_record(
 # backward
 
 
-def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
+def zero_grads(params: ModelParams) -> FlatViews:
+    return FlatViews(params.arrays().layout)
 
 
 def backward(
@@ -456,36 +485,23 @@ def backward(
 
 
 def adam_init(params: ModelParams) -> dict:
-    return {
-        "t": 0,
-        "m": {k: np.zeros_like(v) for k, v in params.arrays().items()},
-        "v": {k: np.zeros_like(v) for k, v in params.arrays().items()},
-    }
+    n = params.arrays().flat.size
+    return {"t": 0, "m": np.zeros(n), "v": np.zeros(n), "scratch": np.empty((2, n))}
 
 
-def adam_step(
-    params: ModelParams,
-    grads: dict[str, np.ndarray],
-    state: dict,
-    lr: float,
-    weight_decay: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
-    state["t"] += 1
-    t = state["t"]
-    for name, p in params.arrays().items():
-        g = grads[name]
-        m, v = state["m"][name], state["v"][name]
-        m *= beta1
-        m += (1 - beta1) * g
-        v *= beta2
-        v += (1 - beta2) * g * g
-        m_hat = m / (1 - beta1**t)
-        v_hat = v / (1 - beta2**t)
-        p -= lr * weight_decay * p  # decoupled weight decay
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+def adam_step(params: ModelParams, grads: FlatViews, state: dict, lr: float, weight_decay: float,
+              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    """One Adam step with decoupled weight decay, fused over the flat vectors. Temporaries go to
+    the scratch rows: allocating one per operation would cost more than the arithmetic."""
+    state["t"] = t = state["t"] + 1
+    p, g, m, v, (s, u) = params.arrays().flat, grads.flat, state["m"], state["v"], state["scratch"]
+    m *= beta1
+    m += np.multiply(g, 1 - beta1, out=s)
+    v *= beta2
+    v += np.multiply(np.multiply(g, 1 - beta2, out=s), g, out=s)
+    p -= np.multiply(p, lr * weight_decay, out=s)  # decoupled weight decay
+    m_hat, v_hat = np.divide(m, 1 - beta1**t, out=s), np.divide(v, 1 - beta2**t, out=u)
+    p -= np.divide(np.multiply(m_hat, lr, out=s), np.add(np.sqrt(v_hat, out=u), eps, out=u), out=s)
 
 
 def train_epoch(
@@ -507,6 +523,8 @@ def train_epoch(
         fwd = forward(rec, params, cfg)
         loss, grad_logits = nll_loss([fwd.output], [rec.record.label])
         grads = backward(fwd, rec, params, cfg, grad_logits[0])
+        if not (math.isfinite(loss) and np.isfinite(grads.flat).all()):
+            raise ValueError(f"{rec.patient_id}: non-finite loss or gradient in epoch {epoch}")
         adam_step(params, grads, opt_state, cfg.lr, cfg.weight_decay)
         bank.update(rec.patient_id, fwd.pooled_p, fwd.pooled_g)
         total += loss
@@ -597,30 +615,12 @@ def load_checkpoint(
         if expect_d is not None and meta["d"] != expect_d:
             raise ValueError(f"checkpoint d={meta['d']} does not match expected d={expect_d}")
         if expect_bins is not None and meta["bins"] != expect_bins:
-            raise ValueError(
-                f"checkpoint bins={meta['bins']} does not match expected bins={expect_bins}"
-            )
+            raise ValueError(f"checkpoint bins={meta['bins']} does not match expected bins={expect_bins}")
         cfg = TrainConfig.from_dict(meta["config"])
-        n_groups = len(meta["gene_raw_lens"])
-        params = ModelParams(
-            adapter_w=data["adapter_w"].copy(),
-            adapter_b=data["adapter_b"].copy(),
-            gene_w1=[data[f"gene{w}_w1"].copy() for w in range(n_groups)],
-            gene_b1=[data[f"gene{w}_b1"].copy() for w in range(n_groups)],
-            gene_w2=[data[f"gene{w}_w2"].copy() for w in range(n_groups)],
-            gene_b2=[data[f"gene{w}_b2"].copy() for w in range(n_groups)],
-            attn=AttnParams(wq=data["attn_wq"].copy(), wk=data["attn_wk"].copy()),
-            ms_layers=[
-                ConvLayerParams(theta=data[f"ms{i}_theta"].copy(), use_nonlinearity=nl)
-                for i, nl in enumerate(meta["ms_nonlin"])
-            ],
-            ga_layers=[
-                ConvLayerParams(theta=data[f"ga{i}_theta"].copy(), use_nonlinearity=nl)
-                for i, nl in enumerate(meta["ga_nonlin"])
-            ],
-            head_w=data["head_w"].copy(),
-            head_b=data["head_b"].copy(),
-        )
+        layout = param_layout(meta["d"], meta["bins"], meta["gene_raw_lens"],
+                              len(meta["ms_nonlin"]), len(meta["ga_nonlin"]))
+        arrays = {name: data[name] for name, _ in layout}
+    params = ModelParams(**_fields(arrays, meta["ms_nonlin"], meta["ga_nonlin"]))
     return params, cfg, meta
 
 

@@ -14,6 +14,10 @@ Each ``conv_backward_*`` returns (dL/dX, dL/dTheta, dL/dweights) of
 
 ``bank_retrieve_scan`` is ``MemoryBank.retrieve_missing`` as a per-entry
 scalar scan over the stored rows.
+
+``adam_init_per_array`` and ``adam_step_per_array`` are the Adam optimizer
+with decoupled weight decay run array by array over the named parameters,
+with per-name moment arrays.
 """
 
 from __future__ import annotations
@@ -157,3 +161,30 @@ def bank_retrieve_scan(keys, values, query: np.ndarray, mu: int) -> np.ndarray:
     for weight, idx in zip(w, order):
         out += weight * values[idx]
     return out
+
+
+def adam_init_per_array(params) -> dict:
+    return {
+        "t": 0,
+        "m": {k: np.zeros_like(v) for k, v in params.arrays().items()},
+        "v": {k: np.zeros_like(v) for k, v in params.arrays().items()},
+    }
+
+
+def adam_step_per_array(
+    params, grads, state: dict, lr: float, weight_decay: float,
+    beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
+) -> None:
+    state["t"] += 1
+    t = state["t"]
+    for name, p in params.arrays().items():
+        g = grads[name]
+        m, v = state["m"][name], state["v"][name]
+        m *= beta1
+        m += (1 - beta1) * g
+        v *= beta2
+        v += (1 - beta2) * g * g
+        m_hat = m / (1 - beta1**t)
+        v_hat = v / (1 - beta2**t)
+        p -= lr * weight_decay * p  # decoupled weight decay
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,21 @@ class TestGenerate:
 
     def test_unknown_flag_is_validation_error(self, tmp_path):
         assert run("generate", "--out", str(tmp_path / "x"), "--bogus", "1") == 1
+
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"bogus_key": 1, "n": 12}))
+        assert run("generate", "--out", str(tmp_path / "x"), "--config", str(cfg_file), *GEN) == 1
+        assert "unknown key(s) bogus_key" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_config_keys_are_flag_names(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"n": 9, "w_groups": 3, "slides_max": 2, "folds": 2}))
+        assert run("generate", "--out", str(tmp_path / "x"), "--config", str(cfg_file), "--d", "4") == 0
+        cohort = load_cohort(str(tmp_path / "x"))
+        assert len(cohort.patients) == 9 and cohort.n_folds == 2 and cohort.d == 4
+        assert all(len(p.genes.groups) == 3 and len(p.slides) <= 2 for p in cohort.patients)
 
 
 class TestTrain:
@@ -150,6 +166,16 @@ class TestTrain:
         assert resolved["n_max"] == 32 and resolved["bank_mu"] == 2
         assert resolved["weight_decay"] == 1e-4  # a flag spelling is accepted as a key
         assert MemoryBank.load(str(out / "fold_0.bank.txt")).mu == 2
+
+    def test_non_finite_gradient_is_runtime_error(self, workspace, tmp_path, monkeypatch, capsys):
+        def poisoned(fwd, prepared, *args, _original=model.backward):
+            grads = _original(fwd, prepared, *args)
+            grads["head_b"][0] = np.nan
+            return grads
+
+        monkeypatch.setattr(model, "backward", poisoned)
+        assert run("train", "--cohort", str(workspace / "cohort"), "--out", str(tmp_path / "o"), *TRAIN) == 2
+        assert re.search(r"runtime error: P\d+: non-finite loss or gradient in epoch 0", capsys.readouterr().err)
 
     def test_malformed_config_file(self, workspace, tmp_path):
         cfg_file = tmp_path / "cfg.json"

@@ -114,6 +114,18 @@ class TestRetrieve:
         got = b.retrieve_missing(np.array([1.0, 0.0]), Modality.PATH, mu=1)
         np.testing.assert_array_equal(got, [111, 0])
 
+    def test_tied_maxima_after_lower_entries(self):
+        # entries 1, 3 and 4 tie for the maximum cosine; entry 2 is second best
+        b = bank_with([("a", [0, 1], [10, 0]), ("b", [1, 0], [11, 0]), ("c", [1, 1], [12, 0]),
+                       ("d", [2, 0], [13, 0]), ("e", [3, 0], [14, 0])])
+        q = np.array([5.0, 0.0])
+        np.testing.assert_array_equal(b.retrieve_missing(q, Modality.PATH, mu=1), [11, 0])
+        keys, values = list(b.column(Modality.PATH)), list(b.column(Modality.GENE))
+        for mu in (2, 3, 4, 5):
+            np.testing.assert_allclose(b.retrieve_missing(q, Modality.PATH, mu=mu),
+                                       bank_retrieve_scan(keys, values, q, mu), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.retrieve_missing(q, Modality.PATH, mu=3), [(11 + 13 + 14) / 3, 0])
+
     def test_equal_keys_tie_to_first_at_model_width(self):
         # every key equal: each query must pick entry 0, whatever the row's offset
         rng = np.random.default_rng(7)
@@ -285,4 +297,10 @@ class TestSaveLoad:
         path = tmp_path / "bank.txt"
         path.write_text(f"d=2 theta=0.9 mu=1\nK 1.0 1.0 1.0 1.0\nJ 0.5 {bad} 0.5 0.5\n")
         with pytest.raises(ValueError, match=r"bank\.txt line 3: non-finite"):
+            MemoryBank.load(path)
+
+    def test_non_numeric_field_names_path_and_line(self, tmp_path):
+        path = tmp_path / "bank.txt"
+        path.write_text("d=2 theta=0.9 mu=1\nJ 0.5 0.5 0.5 0.5\nK 1.0 abc 1.0 1.0\n")
+        with pytest.raises(ValueError, match=r"bank\.txt line 3: could not convert string to float: 'abc'"):
             MemoryBank.load(path)

@@ -1,5 +1,10 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import adam_init_per_array, adam_step_per_array
 
 from hgsurv import model
 from hgsurv.attention import AttnParams
@@ -25,6 +30,7 @@ from hgsurv.model import (
     substream,
     train_epoch,
     train_fold,
+    zero_grads,
 )
 from hgsurv.survival import nll_loss
 from hgsurv.synth import SynthConfig, generate, generate_detailed
@@ -350,3 +356,204 @@ class TestCheckpoint:
             load_checkpoint(path, expect_d=8)
         with pytest.raises(ValueError, match="bins="):
             load_checkpoint(path, expect_bins=6)
+
+
+def names_today(n_groups, n_ms, n_ga):
+    """Checkpoint key names of the parameters, in the order arrays() lists them."""
+    names = ["adapter_w", "adapter_b"]
+    for w in range(n_groups):
+        names += [f"gene{w}_w1", f"gene{w}_b1", f"gene{w}_w2", f"gene{w}_b2"]
+    names += ["attn_wq", "attn_wk"] + [f"ms{i}_theta" for i in range(n_ms)]
+    return names + [f"ga{i}_theta" for i in range(n_ga)] + ["head_w", "head_b"]
+
+
+class TestFlatBuffer:
+    def test_fields_are_views_of_one_buffer(self):
+        for params in (micro_setup()[2], TestDegenerateGraphIdentity().build()[2]):
+            arrays = params.arrays()
+            assert list(arrays) == names_today(2, 2, 1)
+            flat = arrays.flat
+            assert flat.dtype == np.float64 and flat.flags.c_contiguous
+            assert flat.size == sum(a.size for a in arrays.values())
+            assert all(np.shares_memory(a, flat) for a in arrays.values())
+            fields = [params.adapter_w, params.adapter_b]
+            for group in zip(params.gene_w1, params.gene_b1, params.gene_w2, params.gene_b2):
+                fields += group
+            fields += [params.attn.wq, params.attn.wk] + [l.theta for l in params.ms_layers + params.ga_layers]
+            assert all(f is a for f, a in zip(fields + [params.head_w, params.head_b], arrays.values()))
+            flat[:] = np.arange(flat.size)
+            assert params.head_b[-1] == flat.size - 1 and params.adapter_w[0, 1] == 1.0
+            assert params.arrays() is arrays  # cached, not rebuilt
+
+    def test_constructor_copies_and_rejects_bad_shapes(self):
+        eye = np.eye(2)
+        kwargs = dict(
+            adapter_w=eye, adapter_b=np.zeros(2), gene_w1=[np.ones((3, 2))], gene_b1=[np.zeros(2)],
+            gene_w2=[eye], gene_b2=[np.zeros(2)], attn=AttnParams(wq=eye, wk=eye),
+            ms_layers=[ConvLayerParams(theta=eye, use_nonlinearity=False)], ga_layers=[],
+            head_w=np.ones((4, 2)), head_b=np.zeros(2),
+        )
+        params = ModelParams(**kwargs)
+        assert not any(np.shares_memory(params.arrays().flat, a) for a in (eye, kwargs["head_w"]))
+        assert params.ms_layers[0].use_nonlinearity is False
+        np.testing.assert_array_equal(params.gene_w1[0], np.ones((3, 2)))
+        with pytest.raises(ValueError, match="head_w"):
+            ModelParams(**{**kwargs, "head_w": np.ones((5, 2))})
+        with pytest.raises(ValueError, match="gene0_b2"):
+            ModelParams(**{**kwargs, "gene_b2": [np.zeros(3)]})
+        with pytest.raises(ValueError, match="gene1_b1"):  # one group's bias list too long
+            ModelParams(**{**kwargs, "gene_b1": [np.zeros(2), np.zeros(2)]})
+        with pytest.raises(ValueError, match="gene0_w2"):  # one group's weight list too short
+            ModelParams(**{**kwargs, "gene_w2": []})
+
+    def test_constructor_copies_each_array_to_its_own_name(self):
+        # every d x d field gets a distinct value, so a copy by position into a reordered
+        # layout would show even though all the shapes agree
+        square = {k: np.full((2, 2), float(i)) for i, k in enumerate(
+            ["adapter_w", "gene0_w2", "gene1_w2", "attn_wq", "attn_wk", "ms0_theta", "ms1_theta", "ga0_theta"])}
+        params = ModelParams(
+            adapter_w=square["adapter_w"], adapter_b=np.zeros(2),
+            gene_w1=[np.ones((3, 2)), np.ones((5, 2))], gene_b1=[np.zeros(2)] * 2,
+            gene_w2=[square["gene0_w2"], square["gene1_w2"]], gene_b2=[np.zeros(2)] * 2,
+            attn=AttnParams(wq=square["attn_wq"], wk=square["attn_wk"]),
+            ms_layers=[ConvLayerParams(square["ms0_theta"]), ConvLayerParams(square["ms1_theta"])],
+            ga_layers=[ConvLayerParams(square["ga0_theta"])], head_w=np.ones((4, 3)), head_b=np.zeros(3),
+        )
+        for name, value in square.items():
+            np.testing.assert_array_equal(params.arrays()[name], value, err_msg=name)
+
+    def test_zero_grads_is_one_zero_vector_apart_from_params(self):
+        _, _, params = micro_setup()
+        grads = zero_grads(params)
+        assert list(grads) == list(params.arrays())
+        assert grads.flat.shape == params.arrays().flat.shape and not grads.flat.any()
+        assert all(np.shares_memory(g, grads.flat) for g in grads.values())
+        assert not np.shares_memory(grads.flat, params.arrays().flat)
+
+
+@st.composite
+def adam_runs(draw):
+    """A random parameter layout and a few steps of random gradients and hyper-parameters."""
+    d = draw(st.integers(1, 5))
+    raw_lens = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    cfg = TrainConfig(bins=draw(st.integers(2, 4)), ms_layers=draw(st.integers(0, 2)),
+                      ga_layers=draw(st.integers(0, 2)), seed=draw(st.integers(0, 2**16)))
+    steps = draw(st.integers(1, 4))
+    lr = draw(st.sampled_from([0.0, 1e-4, 2e-3, 0.5]))
+    wd = draw(st.sampled_from([0.0, 1e-5, 1e-2]))
+    return d, raw_lens, cfg, steps, lr, wd, draw(st.integers(0, 2**32 - 1))
+
+
+class TestFusedAdam:
+    @given(adam_runs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_array_oracle_bitwise(self, run):
+        d, raw_lens, cfg, steps, lr, wd, seed = run
+        fused, ref = (init_params(d, cfg.bins, raw_lens, cfg, substream(cfg.seed, "init")) for _ in range(2))
+        s_fused, s_ref = adam_init(fused), adam_init_per_array(ref)
+        rng = np.random.default_rng(seed)
+        for _ in range(steps):
+            g = rng.standard_normal(fused.arrays().flat.size) * rng.choice([1e-6, 1.0, 1e3])
+            g[rng.random(g.size) < 0.2] = 0.0
+            g_fused, g_ref = zero_grads(fused), zero_grads(ref)
+            g_fused.flat[:] = g
+            g_ref.flat[:] = g
+            adam_step(fused, g_fused, s_fused, lr, wd)
+            adam_step_per_array(ref, g_ref, s_ref, lr, wd)
+            assert np.array_equal(fused.arrays().flat, ref.arrays().flat)
+        assert s_fused["t"] == s_ref["t"] == steps
+        assert np.array_equal(s_fused["m"], np.concatenate([m.ravel() for m in s_ref["m"].values()]))
+        assert np.array_equal(s_fused["v"], np.concatenate([v.ravel() for v in s_ref["v"].values()]))
+
+    def test_train_fold_matches_run_with_oracle_adam(self, monkeypatch):
+        cohort = generate(SynthConfig(n_patients=5, patches_per_slide=4, d=8, w_groups=2, seed=4))
+        cfg = TrainConfig(lr=2e-3, weight_decay=1e-3, epochs=3, lam=3, beta_fraction=0.5, bins=4, seed=6)
+        raw = cohort_gene_raw_lens(cohort)
+        fused = train_fold(cohort.patients, 8, raw, cfg)
+        monkeypatch.setattr(model, "adam_init", adam_init_per_array)
+        monkeypatch.setattr(model, "adam_step", adam_step_per_array)
+        ref = train_fold(cohort.patients, 8, raw, cfg)
+        assert fused.epoch_losses == ref.epoch_losses
+        for name, arr in fused.params.arrays().items():
+            assert np.array_equal(arr, ref.params.arrays()[name]), name
+
+
+class TestNonFiniteGuard:
+    @pytest.mark.parametrize("where", ["loss", "gradient"])
+    def test_names_patient_and_epoch(self, monkeypatch, where):
+        cohort = generate(SynthConfig(n_patients=3, patches_per_slide=4, d=8, w_groups=2, seed=4))
+        cfg = TrainConfig(lr=1e-3, epochs=1, lam=3, beta_fraction=0.5, bins=4, seed=6)
+        params = init_params(8, 4, cohort_gene_raw_lens(cohort), cfg, substream(6, "init"))
+        prepared = [prepare_record(r, cfg) for r in cohort.patients]
+        bad = cohort.patients[1]
+        if where == "loss":
+            def poisoned(outputs, labels, _original=model.nll_loss):
+                loss, grads = _original(outputs, labels)
+                return (np.nan if labels[0] is bad.label else loss), grads
+
+            monkeypatch.setattr(model, "nll_loss", poisoned)
+        else:
+            def poisoned(fwd, prepared, *args, _original=model.backward):
+                grads = _original(fwd, prepared, *args)
+                if prepared.patient_id == bad.patient_id:
+                    grads["ms0_theta"][0, 0] = np.inf
+                return grads
+
+            monkeypatch.setattr(model, "backward", poisoned)
+        with pytest.raises(ValueError, match=f"{bad.patient_id}: non-finite loss or gradient in epoch 3"):
+            train_epoch(prepared, params, adam_init(params), cfg, MemoryBank(d=8), 3)
+        assert np.isfinite(params.arrays().flat).all()  # the bad step was not applied
+
+
+class TestHookContract:
+    """The benchmark clocks training and evaluation through these module-level lookups."""
+
+    def test_training_and_evaluation_call_through_module_names(self, monkeypatch):
+        cohort = generate(SynthConfig(n_patients=4, patches_per_slide=4, d=8, w_groups=2, seed=4))
+        cfg = TrainConfig(lr=1e-3, epochs=2, lam=3, beta_fraction=0.5, bins=4, seed=6)
+        names = ["prepare_record", "train_epoch", "forward", "backward", "adam_step", "forward_record"]
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, _name=name, _original=getattr(model, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(model, name, counted)
+        n = len(cohort.patients)
+        result = train_fold(cohort.patients, 8, cohort_gene_raw_lens(cohort), cfg)
+        steps = n * cfg.epochs
+        assert calls == dict(prepare_record=n, train_epoch=cfg.epochs, forward=steps, backward=steps,
+                             adam_step=steps, forward_record=0)
+        calls.update(dict.fromkeys(names, 0))
+        evaluate(cohort.patients, result.params, cfg, result.bank)
+        assert calls["forward_record"] == n and calls["forward"] == n
+        assert calls["train_epoch"] == calls["adam_step"] == 0
+
+
+class TestCheckpointV1:
+    def test_v1_file_loads_and_saves_equal_arrays(self, tmp_path):
+        rng = np.random.default_rng(0)
+        d, bins, raw_lens = 3, 2, [5, 4]
+        shapes = {"adapter_w": (d, d), "adapter_b": (d,), "head_w": (2 * d, bins), "head_b": (bins,)}
+        for w, m in enumerate(raw_lens):
+            shapes.update({f"gene{w}_w1": (m, d), f"gene{w}_b1": (d,), f"gene{w}_w2": (d, d), f"gene{w}_b2": (d,)})
+        names = names_today(len(raw_lens), 2, 1)
+        stored = {name: rng.standard_normal(shapes.get(name, (d, d))) for name in names}
+        cfg = TrainConfig(bins=bins, ms_layers=2, ga_layers=1)
+        meta = {"version": 1, "d": d, "bins": bins, "gene_raw_lens": raw_lens, "ms_nonlin": [True, False],
+                "ga_nonlin": [True], "config": cfg.to_dict()}
+        v1 = tmp_path / "v1.npz"
+        np.savez(v1, **stored, _meta=np.array(json.dumps(meta, sort_keys=True)))
+        params, loaded_cfg, loaded_meta = load_checkpoint(v1, expect_d=d, expect_bins=bins)
+        assert loaded_cfg == cfg and loaded_meta == meta
+        assert list(params.arrays()) == names
+        for name in names:
+            np.testing.assert_array_equal(params.arrays()[name], stored[name])
+        np.testing.assert_array_equal(params.gene_w1[1], stored["gene1_w1"])
+        assert [l.use_nonlinearity for l in params.ms_layers] == [True, False]
+        resaved = tmp_path / "resaved.npz"
+        save_checkpoint(resaved, params, cfg, raw_lens)
+        with np.load(v1) as a, np.load(resaved) as b:
+            assert sorted(a.files) == sorted(b.files)
+            for key in a.files:
+                np.testing.assert_array_equal(a[key], b[key])
