@@ -204,6 +204,10 @@ def validate_cohort(cohort: Cohort) -> list[str]:
                 )
             if not np.all(np.isfinite(s.features)) or not np.all(np.isfinite(s.coords)):
                 problems.append(f"{p.patient_id}: slide {s.slide_id} has non-finite entries")
+        if p.genes is not None and not np.isfinite(np.concatenate(p.genes.groups)).all():
+            for name, values in zip(p.genes.group_names, p.genes.groups):
+                if not np.isfinite(values).all():
+                    problems.append(f"{p.patient_id}: gene group {name} has non-finite entries")
         if cohort.bin_edges.shape[0] >= 3 and np.all(np.diff(cohort.bin_edges) > 0):
             expect = bin_for_time(p.label.time, cohort.bin_edges)
             if p.label.bin != expect:

@@ -10,11 +10,18 @@ rectifier (HGNN, Feng et al., AAAI 2019). The propagation operator
 P = Dv^{-1/2} H W De^{-1} H^T Dv^{-1/2} is symmetric, which the backward
 pass exploits (dX = P dZ).
 
-P does not depend on the layer parameters, so each Hypergraph builds it
-once, on first use, as a dense V x V matrix and keeps it; every propagation
-after that is the matmul P @ X. The dense incidence that P is built from
-is not kept. The cached P costs O(V^2) memory, 8 V^2 bytes: 0.3 MB at
-V = 192 (three slides of 64 patches), but 134 MB at V = 4096.
+A hypergraph is stored as integer member rows, one per edge, from which
+the edge-major index arrays (vertex id, edge id) are derived. P does not
+depend on the layer parameters, so each Hypergraph builds it once, on
+first use, and keeps it; every propagation after that is the matmul P @ X.
+P is built without the V x E incidence matrix: one np.bincount over the
+member pairs a*V + b of every edge, weighted r_a r_b w_e / |e| with
+r = Dv^{-1/2}, which is O(E k^2) work for edges of at most k members. The
+cached P costs 8 V^2 bytes: 0.3 MB at V = 192 (three slides of 64
+patches) and 75 MB at V = 3072 (three slides of 1024 patches), where the
+pair indices and values add about 9 MB while it is built. The edge-weight
+gradient comes from per-edge sums over the member rows, again without an
+incidence.
 
 Vertices with degree zero receive propagation coefficient 0, so their
 pre-activation rows are exactly zero.
@@ -38,50 +45,54 @@ def leaky_grad(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, LEAKY_SLOPE)
 
 
-@dataclass
+@dataclass(eq=False)
 class Hypergraph:
-    """Vertex count plus a list of (vertex-id set, positive weight) edges."""
+    """Vertex count plus edges as integer member rows.
+
+    Row e of ``members`` (E x k) holds the vertex ids of edge e; edges with
+    fewer than k members are padded with -1. The constructor sorts each row,
+    pads first, and derives the edge-major index arrays that the degrees,
+    the operator and the weight gradient are built from. ``weights`` holds
+    one positive weight per edge, 1 when omitted.
+    """
 
     num_vertices: int
-    edges: list[tuple[frozenset[int], float]]
+    members: np.ndarray
+    weights: np.ndarray | None = None
 
     def __post_init__(self):
         if self.num_vertices < 0:
             raise ValueError("num_vertices must be nonnegative")
-        norm = []
-        for members, w in self.edges:
-            members = frozenset(int(v) for v in members)
-            if not members:
-                raise ValueError("empty hyperedge")
-            if min(members) < 0 or max(members) >= self.num_vertices:
-                raise ValueError(f"vertex id out of range in edge {sorted(members)}")
-            w = float(w)
-            if not w > 0:
-                raise ValueError(f"non-positive edge weight {w}")
-            norm.append((members, w))
-        self.edges = norm
-        # edge-major index arrays that the degrees and the operator are built from
-        vidx, eidx = [], []
-        for e, (members, _) in enumerate(self.edges):
-            for v in sorted(members):
-                vidx.append(v)
-                eidx.append(e)
-        self._vidx = np.asarray(vidx, dtype=np.intp)
-        self._eidx = np.asarray(eidx, dtype=np.intp)
-        self._weights = np.asarray([w for _, w in self.edges], dtype=np.float64)
-        self._sizes = np.asarray([len(m) for m, _ in self.edges], dtype=np.float64)
+        m = np.sort(np.asarray(self.members, dtype=np.intp), axis=1)
+        valid = m >= 0
+        if m.size and (m.min() < -1 or m.max() >= self.num_vertices):
+            raise ValueError(f"vertex id out of range [0, {self.num_vertices}) in member rows")
+        self._eidx, col = valid.nonzero()
+        self._vidx = m[self._eidx, col]
+        self._sizes = np.bincount(self._eidx, minlength=len(m))
+        if not self._sizes.all():
+            raise ValueError("empty hyperedge")
+        same = m[:, 1:] == m[:, :-1]
+        if same.any() and (same & valid[:, 1:]).any():  # pads may repeat, members may not
+            raise ValueError("vertex repeated within a hyperedge")
+        w = np.ones(len(m)) if self.weights is None else np.asarray(self.weights, dtype=np.float64)
+        if w.shape != (len(m),):
+            raise ValueError("one weight per edge required")
+        if not (w > 0).all():
+            raise ValueError(f"non-positive edge weight {w[~(w > 0)][0]}")
+        self.members, self.weights = m, w
+        # r = Dv^{-1/2} from the weighted degrees, with a trailing 0 that a pad (-1) reads
+        self._r = _inv_sqrt(np.bincount(self._vidx, w[self._eidx], minlength=self.num_vertices + 1))
         self._P: np.ndarray | None = None  # propagation operator, built by _operator
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.members)
 
-    def with_weights(self, weights) -> "Hypergraph":
-        """Same edge sets, new weights."""
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (len(self.edges),):
-            raise ValueError("one weight per edge required")
-        return Hypergraph(self.num_vertices, [(m, w) for (m, _), w in zip(self.edges, weights)])
+    @property
+    def edges(self) -> list[tuple[np.ndarray, float]]:
+        """(member ids, weight) per edge, derived on demand for inspection."""
+        return [(row[row >= 0], float(w)) for row, w in zip(self.members, self.weights)]
 
 
 @dataclass
@@ -95,34 +106,35 @@ class ConvLayerParams:
             raise ValueError("theta must be a finite 2-d matrix")
 
 
-def incidence(hg: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
-    """Binary V x E incidence matrix and the per-edge weight vector."""
-    H = np.zeros((hg.num_vertices, hg.num_edges), dtype=np.float64)
-    if hg.num_edges:
-        H[hg._vidx, hg._eidx] = 1.0
-    return H, hg._weights.copy()
-
-
 def degrees(hg: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     """Weighted vertex degrees (sum of incident edge weights) and edge sizes."""
-    dv = np.bincount(hg._vidx, weights=hg._weights[hg._eidx], minlength=hg.num_vertices)
-    return dv.astype(np.float64, copy=False), hg._sizes.copy()
+    dv = np.bincount(hg._vidx, weights=hg.weights[hg._eidx], minlength=hg.num_vertices)
+    return dv, hg._sizes.astype(np.float64)
 
 
 def _inv_sqrt(dv: np.ndarray) -> np.ndarray:
-    r = np.zeros_like(dv)
-    pos = dv > 0
-    r[pos] = 1.0 / np.sqrt(dv[pos])
-    return r
+    return 1.0 / np.sqrt(np.where(dv > 0, dv, np.inf))  # 0 where the degree is 0
 
 
 def _operator(hg: Hypergraph) -> np.ndarray:
-    """The hypergraph's propagation operator P, built on first use and kept."""
+    """The hypergraph's propagation operator P, built on first use and kept.
+
+    P[a, b] sums r_a r_b w_e / |e| over the edges e holding both a and b, in
+    one bincount over the member pairs a*V + b of every row. A pad (-1)
+    reads r = 0 and is counted at vertex 0, so it adds exact zeros.
+    """
     if hg._P is None:
-        H, w = incidence(hg)
-        A = H * _inv_sqrt(degrees(hg)[0])[:, None]
-        hg._P = (A * (w / hg._sizes)) @ A.T
+        V, m = hg.num_vertices, np.maximum(hg.members, 0)
+        rm = hg._r[hg.members]  # E x k, 0 at the pads
+        vals = rm[:, :, None] * rm[:, None, :] * (hg.weights / hg._sizes)[:, None, None]
+        pairs = m[:, :, None] * V + m[:, None, :]
+        hg._P = np.bincount(pairs.ravel(), vals.ravel(), minlength=V * V).reshape(V, V)
     return hg._P
+
+
+def _edge_sums(hg: Hypergraph, Y: np.ndarray) -> np.ndarray:
+    """Per edge, the sum of Y's rows over its members; a pad reads the appended zero row."""
+    return np.concatenate([Y, np.zeros_like(Y[:1])])[hg.members].sum(axis=1)
 
 
 def _propagate(hg: Hypergraph, X: np.ndarray) -> np.ndarray:
@@ -158,9 +170,9 @@ def hg_conv_backward_ext(
     """Backward pass, optionally including dL/d(edge weights).
 
     The weight gradient accounts for the explicit W factor and for the
-    dependence of both Dv^{-1/2} scalings on the weights. It works on the
-    dense V x E incidence, which is small for the graphs that need it (the
-    gene-attentive graph has one edge per gene group).
+    dependence of both Dv^{-1/2} scalings on the weights. It is built from
+    per-edge sums over the member rows, and from PX and dX = P dU, which
+    the pass computes anyway.
     """
     X = np.asarray(X, dtype=np.float64)
     d_out = np.asarray(d_out, dtype=np.float64)
@@ -175,25 +187,13 @@ def hg_conv_backward_ext(
     if not want_weight_grad or hg.num_edges == 0:
         return d_x, d_theta, None
 
-    H, w = incidence(hg)
-    dv, sizes = degrees(hg)
-    r = _inv_sqrt(dv)
-    c = (w / sizes)[:, None]
-    S = H.T @ (X * r[:, None])  # s_e = sum_{v in e} r_v X_v
-    # Z = Htilde(Y) with Htilde = H W De^{-1} H^T and Y = R X
-    Z = H @ (S * c)
-
-    # direct W-factor term: <q_e, s_e / |e|> with q_e = sum_{v in e} r_v dU_v
-    Q = H.T @ (d_px * r[:, None])
-    d_w = np.einsum("ef,ef->e", Q, S / sizes[:, None])
-
-    # Dv^{-1/2} terms: dL/dr_v = <dU_v, Z_v> + <(Htilde R dU)_v, X_v>
-    HtRdU = H @ (Q * c)
-    d_r = np.einsum("vf,vf->v", d_px, Z) + np.einsum("vf,vf->v", HtRdU, X)
-    dr_ddv = np.zeros_like(dv)
-    pos = dv > 0
-    dr_ddv[pos] = -0.5 * dv[pos] ** -1.5
-    d_w += H.T @ (d_r * dr_ddv)
+    r = hg._r[:-1, None]
+    # direct W-factor term: <q_e, s_e> / |e| with q_e = sum_{v in e} r_v dU_v, s_e = sum_{v in e} r_v X_v
+    d_w = np.einsum("ef,ef->e", _edge_sums(hg, d_px * r), _edge_sums(hg, X * r)) / hg._sizes
+    # Dv^{-1/2} terms: P = R Htilde R gives dL/dr_v = (<dU_v, (PX)_v> + <X_v, dX_v>) / r_v,
+    # and dr_v/dDv_v = -r_v^3 / 2, so edge e collects -r_v^2 / 2 (...) over its members
+    d_r = np.einsum("vf,vf->v", d_px, PX) + np.einsum("vf,vf->v", X, d_x)
+    d_w += _edge_sums(hg, -0.5 * r[:, 0] ** 2 * d_r)
     return d_x, d_theta, d_w
 
 
@@ -230,10 +230,3 @@ def stack_backward(
         if want_weight_grad and d_w is not None:
             d_w_total += d_w
     return d_x, d_thetas, d_w_total
-
-
-def dump_edges(hg: Hypergraph, path) -> None:
-    """Debug dump: one line per edge, `w v0 v1 ...` with sorted vertex ids."""
-    with open(path, "w") as fh:
-        for members, w in hg.edges:
-            fh.write(" ".join([repr(w)] + [str(v) for v in sorted(members)]) + "\n")

@@ -176,7 +176,7 @@ class ModelParams:
                 raise ValueError(f"{name} has shape {np.shape(given[name])}, expected {view.shape}")
             view[...] = given[name]
         nonlin = [[layer.use_nonlinearity for layer in stack] for stack in stacks.values()]
-        self.__dict__.update(_fields(views, *nonlin), _views=views)
+        self.__dict__.update(_fields(views, *nonlin), _views=views, _grads=FlatViews(views.layout))
 
     @property
     def d(self) -> int:
@@ -233,19 +233,18 @@ def _subsample(slide_feats, slide_coords, n_max, rng):
 
 
 def build_multislide_graph(
-    feats: np.ndarray, coords: np.ndarray, slide_of: np.ndarray, lam: int, edge_mode: EdgeMode
+    feats: np.ndarray, slide_coords: list[np.ndarray], lam: int, edge_mode: EdgeMode
 ) -> Hypergraph:
-    """Union of intra-slide spatial and inter-slide similarity edges."""
-    n = feats.shape[0]
+    """Union of intra-slide spatial and inter-slide similarity edges over the slides' stacked patches."""
     lists = []
     if edge_mode in (EdgeMode.INTRA_ONLY, EdgeMode.BOTH):
-        for sid in np.unique(slide_of):
-            mask = slide_of == sid
-            offset = int(np.nonzero(mask)[0][0])
-            lists.append(intra_slide_edges(coords[mask], lam, index_offset=offset))
+        offset = 0
+        for coords in slide_coords:
+            lists.append(intra_slide_edges(coords, lam, index_offset=offset))
+            offset += coords.shape[0]
     if edge_mode in (EdgeMode.INTER_ONLY, EdgeMode.BOTH):
         lists.append(inter_slide_edges(feats, lam))
-    return merge(n, *lists)
+    return merge(feats.shape[0], *lists)
 
 
 def prepare_record(
@@ -254,17 +253,15 @@ def prepare_record(
     """Per-record tensors; with pathology withheld, its tensors and hypergraph stay None."""
     x_raw = coords = hg_ms = None
     if record.has_pathology and missing is not Modality.PATH:
-        feats, crds, owner = [], [], []
+        feats, crds = [], []
         for s in record.slides:
             rng = substream(cfg.seed, "subsample", record.patient_id, s.slide_id)
             f, c = _subsample(s.features, s.coords, cfg.n_max, rng)
             feats.append(f)
             crds.append(c)
-            owner.append(np.full(f.shape[0], len(owner)))
         x_raw = np.vstack(feats)
         coords = np.vstack(crds)
-        slide_of = np.concatenate(owner)
-        hg_ms = build_multislide_graph(x_raw, coords, slide_of, cfg.lam, cfg.edge_mode)
+        hg_ms = build_multislide_graph(x_raw, crds, cfg.lam, cfg.edge_mode)
     gene_raw = list(record.genes.groups) if record.has_genes else None
     return PreparedRecord(
         patient_id=record.patient_id,
@@ -310,6 +307,9 @@ def _encode_genes(gene_raw, params):
     return pre1, hidden, np.vstack(enc)
 
 
+_STANDIN_GRAPH = Hypergraph(1, [[0]])  # the stand-in's self-loop, shared so P is built once
+
+
 def forward(
     prepared: PreparedRecord,
     params: ModelParams,
@@ -337,7 +337,7 @@ def forward(
         query = genes_enc.mean(axis=0)
         standin = bank.retrieve_missing(query, available=Modality.GENE)
         x_raw = standin[None, :]
-        hg_ms = Hypergraph(1, [(frozenset({0}), 1.0)])  # the stand-in's self-loop
+        hg_ms = _STANDIN_GRAPH
         xp = x_raw  # stand-in enters already encoded
 
     acts_ms = stack_forward(xp, hg_ms, params.ms_layers)
@@ -359,17 +359,18 @@ def forward(
     else:
         if cfg.fusion_mode is FusionMode.HYPERGRAPH_ATTN:
             gene_build = gene_attentive_edges(genes_enc, ph, params.attn, cfg.beta_fraction)
-            edges = gene_build.edges
-        else:
+            hg_ga = Hypergraph(n + w_eff, gene_build.edges, gene_build.weights)
+        else:  # each edge holds its own gene vertex, so no two coincide and no merge is needed
             rng = substream(cfg.seed, "random-edges", record.patient_id)
-            edges = random_gene_edges(w_eff, n, cfg.beta_fraction, rng)
-        hg_ga = merge(n + w_eff, edges)
+            hg_ga = Hypergraph(n + w_eff, random_gene_edges(w_eff, n, cfg.beta_fraction, rng))
         acts_ga = stack_forward(np.vstack([ph, genes_enc]), hg_ga, params.ga_layers)
         pooled_p = acts_ga[-1][:n].mean(axis=0)
         pooled_g = acts_ga[-1][n:].mean(axis=0)
 
     fusion = np.concatenate([pooled_p, pooled_g])
     logits = fusion @ params.head_w + params.head_b
+    if not np.isfinite(logits).all():  # an overflowed forward pass, not bad input
+        raise FloatingPointError("non-finite logits")
     output = hazards_from_logits(logits)
     return ForwardResult(
         output=output,
@@ -408,7 +409,9 @@ def forward_record(
 
 
 def zero_grads(params: ModelParams) -> FlatViews:
-    return FlatViews(params.arrays().layout)
+    """The params' one gradient buffer, cleared. All of it: concat fusion leaves ga/attn unwritten."""
+    params._grads.flat.fill(0)
+    return params._grads
 
 
 def backward(
@@ -418,7 +421,11 @@ def backward(
     cfg: TrainConfig,
     d_logits: np.ndarray,
 ) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss w.r.t. every parameter (complete records only)."""
+    """Gradients of a scalar loss w.r.t. every parameter (complete records only).
+
+    The result is the params' one gradient buffer, so the next backward call
+    with the same params overwrites it.
+    """
     if fwd.missing is not None:
         raise ValueError("backward requires a complete-modality forward")
     grads = zero_grads(params)
@@ -449,10 +456,8 @@ def backward(
         d_genes_enc += d_xg_in[n:]
         if want_w:
             build = fwd.gene_build
-            keep = len(build.retained[0])
             d_probs = np.zeros_like(build.probs)
-            for w in range(w_eff):
-                d_probs[w, build.retained[w]] = d_w[w] * n / keep
+            np.put_along_axis(d_probs, build.retained, (d_w * n / build.retained.shape[1])[:, None], axis=1)
             d_scores = softmax_rows_backward(build.probs, d_probs)
             dg_attn, dp_attn, d_wq, d_wk = attn_scores_backward(
                 fwd.genes_enc, fwd.acts_ms[-1], params.attn, d_scores
@@ -520,7 +525,10 @@ def train_epoch(
     total = 0.0
     for idx in order:
         rec = prepared[idx]
-        fwd = forward(rec, params, cfg)
+        try:
+            fwd = forward(rec, params, cfg)
+        except FloatingPointError as exc:
+            raise ValueError(f"{rec.patient_id}: {exc} in epoch {epoch}") from exc
         loss, grad_logits = nll_loss([fwd.output], [rec.record.label])
         grads = backward(fwd, rec, params, cfg, grad_logits[0])
         if not (math.isfinite(loss) and np.isfinite(grads.flat).all()):

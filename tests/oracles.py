@@ -1,5 +1,10 @@
-"""Slow reference implementations of the hypergraph convolution and of
-the memory bank's retrieval.
+"""Slow reference implementations of the hyperedge builders, the
+hypergraph convolution and the memory bank's retrieval.
+
+The ``*_sets`` builders are the per-center loops over frozenset edges that
+``hgsurv.hyperedges`` vectorizes: each returns a list of (frozenset of
+vertex ids, weight) pairs, in the order the vectorized builder emits rows.
+``hypergraph(v, pairs)`` turns such a list into a ``Hypergraph``.
 
 Two convolution oracles, independent of each other and of ``hgsurv.hgcore``'s
 cached operator:
@@ -22,17 +27,106 @@ with per-name moment arrays.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from hgsurv.attention import attn_scores, softmax_rows
 from hgsurv.hgcore import ConvLayerParams, Hypergraph, leaky, leaky_grad
+from hgsurv.hyperedges import cosine_similarity_matrix
 
 
-def _dense_parts(hg: Hypergraph):
+def hypergraph(num_vertices: int, pairs) -> Hypergraph:
+    """Hypergraph from (vertex-id set, weight) pairs, rows padded with -1."""
+    width = max((len(m) for m, _ in pairs), default=1)
+    rows = [sorted(int(v) for v in m) for m, _ in pairs]
+    members = np.array([[-1] * (width - len(r)) + r for r in rows], dtype=np.intp).reshape(len(rows), width)
+    return Hypergraph(num_vertices, members, [w for _, w in pairs])
+
+
+def _nearest_by_key(keys: np.ndarray, n_pick: int) -> np.ndarray:
+    """Indices of the n_pick smallest keys; equal keys resolved by lowest index."""
+    return np.argsort(keys, kind="stable")[:n_pick]
+
+
+def intra_slide_sets(coords, lam: int, index_offset: int = 0):
+    coords = np.asarray(coords, dtype=np.float64)
+    n = coords.shape[0]
+    n_pick = min(lam, n) - 1
+    edges = []
+    for center in range(n):
+        d = np.linalg.norm(coords - coords[center], axis=1)
+        d[center] = np.inf  # self excluded, re-added below
+        picked = _nearest_by_key(d, n_pick)
+        members = frozenset(int(j) + index_offset for j in picked) | {center + index_offset}
+        edges.append((members, 1.0))
+    return edges
+
+
+def inter_slide_sets(feats, lam: int):
+    feats = np.asarray(feats, dtype=np.float64)
+    n = feats.shape[0]
+    sims = cosine_similarity_matrix(feats)
+    n_pick = min(lam, n) - 1
+    edges = []
+    for center in range(n):
+        key = -sims[center]
+        key[center] = np.inf
+        picked = _nearest_by_key(key, n_pick)
+        members = frozenset(int(j) for j in picked) | {center}
+        edges.append((members, 1.0))
+    return edges
+
+
+def gene_attentive_sets(gene_feats, patch_feats, attn_params, beta_fraction: float):
+    """(edges, scores, probs, retained) of the gene-attentive graph."""
+    n_genes, n_patches = gene_feats.shape[0], patch_feats.shape[0]
+    keep = min(math.ceil(beta_fraction * n_patches), n_patches)
+    scores = attn_scores(gene_feats, patch_feats, attn_params)
+    probs = softmax_rows(scores)
+    edges = []
+    retained = []
+    for w in range(n_genes):
+        picked = np.sort(_nearest_by_key(-probs[w], keep))
+        retained.append(picked)
+        weight = float(probs[w, picked].sum() * n_patches / keep)
+        members = frozenset(int(j) for j in picked) | {n_patches + w}
+        edges.append((members, weight))
+    return edges, scores, probs, retained
+
+
+def random_gene_sets(n_genes: int, n_patches: int, beta_fraction: float, rng: np.random.Generator):
+    keep = min(math.ceil(beta_fraction * n_patches), n_patches)
+    edges = []
+    for w in range(n_genes):
+        picked = rng.choice(n_patches, size=keep, replace=False)
+        members = frozenset(int(j) for j in picked) | {n_patches + w}
+        edges.append((members, 1.0))
+    return edges
+
+
+def merge_sets(*edge_lists):
+    """Union of edge lists; set-identical edges are kept once (first weight wins)."""
+    seen: dict[frozenset[int], float] = {}
+    for edges in edge_lists:
+        for members, w in edges:
+            members = frozenset(members)
+            if members not in seen:
+                seen[members] = float(w)
+    return list(seen.items())
+
+
+def incidence(hg: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
+    """Binary V x E incidence matrix, from the edges property, and the weight vector."""
     H = np.zeros((hg.num_vertices, hg.num_edges))
     for e, (members, _) in enumerate(hg.edges):
         for v in members:
             H[v, e] = 1.0
-    w = np.array([wt for _, wt in hg.edges], dtype=np.float64)
+    return H, np.array([wt for _, wt in hg.edges], dtype=np.float64)
+
+
+def _dense_parts(hg: Hypergraph):
+    H, w = incidence(hg)
     de = H.sum(axis=0)
     dv = H @ w
     r = np.array([1.0 / np.sqrt(x) if x > 0 else 0.0 for x in dv])
@@ -85,7 +179,7 @@ def _degrees_scatter(hg: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     """Weighted vertex degrees and their inverse square roots (0 where the degree is 0)."""
     dv = np.zeros(hg.num_vertices)
     if hg.num_edges:
-        np.add.at(dv, hg._vidx, hg._weights[hg._eidx])
+        np.add.at(dv, hg._vidx, hg.weights[hg._eidx])
     r = np.zeros_like(dv)
     pos = dv > 0
     r[pos] = 1.0 / np.sqrt(dv[pos])
@@ -100,7 +194,7 @@ def propagate_scatter(hg: Hypergraph, X: np.ndarray) -> np.ndarray:
     Y = X * r[:, None]
     S = np.zeros((hg.num_edges, X.shape[1]))
     np.add.at(S, hg._eidx, Y[hg._vidx])
-    M = S * (hg._weights / hg._sizes)[:, None]
+    M = S * (hg.weights / hg._sizes)[:, None]
     Z = np.zeros_like(Y)
     np.add.at(Z, hg._vidx, M[hg._eidx])
     return Z * r[:, None]
@@ -123,7 +217,7 @@ def conv_backward_scatter(X, hg: Hypergraph, params: ConvLayerParams, d_out):
     Y = X * r[:, None]
     S = np.zeros((hg.num_edges, X.shape[1]))
     np.add.at(S, hg._eidx, Y[hg._vidx])
-    M = S * (hg._weights / hg._sizes)[:, None]
+    M = S * (hg.weights / hg._sizes)[:, None]
     Z = np.zeros_like(Y)
     np.add.at(Z, hg._vidx, M[hg._eidx])
 
@@ -132,7 +226,7 @@ def conv_backward_scatter(X, hg: Hypergraph, params: ConvLayerParams, d_out):
     np.add.at(Q, hg._eidx, RdU[hg._vidx])
     d_w = np.einsum("ef,ef->e", Q, S / hg._sizes[:, None])
 
-    M2 = Q * (hg._weights / hg._sizes)[:, None]
+    M2 = Q * (hg.weights / hg._sizes)[:, None]
     HtRdU = np.zeros_like(Y)
     np.add.at(HtRdU, hg._vidx, M2[hg._eidx])
     d_r = np.einsum("vf,vf->v", d_px, Z) + np.einsum("vf,vf->v", HtRdU, X)

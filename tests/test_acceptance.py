@@ -18,7 +18,6 @@ from hgsurv.cli import main as cli_main
 from hgsurv.datamodel import Censor
 from hgsurv.hgcore import (
     ConvLayerParams,
-    Hypergraph,
     hg_conv_backward,
     hg_conv_forward,
 )
@@ -40,7 +39,7 @@ from hgsurv.model import (
 )
 from hgsurv.survival import hazards_from_logits, nll_loss
 from hgsurv.synth import SynthConfig, generate, generate_detailed
-from oracles import propagation_matrix
+from oracles import hypergraph, propagation_matrix
 
 pytestmark = pytest.mark.slow  # minutes of training: `pytest -m "not slow"` leaves them out
 
@@ -130,7 +129,7 @@ def test_criterion_1_gradient_correctness():
              float(rng.uniform(0.3, 2.0)))
             for _ in range(int(rng.integers(2, 2 * v)))
         ]
-        g = Hypergraph(v, edges)
+        g = hypergraph(v, edges)
         X = rng.standard_normal((v, 4))
         params = ConvLayerParams(theta=rng.standard_normal((4, 3)))
         d_up = rng.standard_normal((v, 3))
@@ -202,11 +201,11 @@ def test_criterion_2_oracle_equivalence():
         if trial % 2 == 0:
             coords = rng.uniform(0, 1000, (n, 2))
             keys = np.linalg.norm(coords[:, None] - coords[None, :], axis=2)
-            got = [set(e) for e, _ in intra_slide_edges(coords, lam)]
+            got = [set(e) for e in intra_slide_edges(coords, lam)]
         else:
             feats = rng.standard_normal((n, 8))
             keys = -cosine_similarity_matrix(feats)
-            got = [set(e) for e, _ in inter_slide_edges(feats, lam)]
+            got = [set(e) for e in inter_slide_edges(feats, lam)]
         expect = []
         for c in range(n):
             order = sorted((j for j in range(n) if j != c), key=lambda j: (keys[c, j], j))
@@ -285,7 +284,7 @@ def test_criterion_3_convolution_invariants():
             (frozenset(int(x) for x in rng.choice(v, size=int(rng.integers(1, v + 1)), replace=False)), 1.0)
             for _ in range(int(rng.integers(1, 2 * v)))
         ]
-        g = Hypergraph(v, edges)
+        g = hypergraph(v, edges)
         M = propagation_matrix(g)
         worst_sym = max(worst_sym, float(np.abs(M - M.T).max()))
 
@@ -295,11 +294,11 @@ def test_criterion_3_convolution_invariants():
         worst_agree = max(worst_agree, float(np.abs(sparse - M @ X @ params.theta).max()))
 
         perm = rng.permutation(v)
-        g_perm = Hypergraph(v, [(frozenset(int(perm[u]) for u in e), w) for e, w in g.edges])
+        g_perm = hypergraph(v, [(frozenset(int(perm[u]) for u in e), w) for e, w in g.edges])
         out_perm = hg_conv_forward(X[np.argsort(perm)], g_perm, params)
         worst_equi = max(worst_equi, float(np.abs(out_perm[perm] - sparse).max()))
 
-        g_all = Hypergraph(v, [(frozenset(range(v)), 1.0)])
+        g_all = hypergraph(v, [(frozenset(range(v)), 1.0)])
         Xc = np.outer(np.ones(v), rng.standard_normal(3))
         worst_const = max(worst_const, float(np.abs(propagation_matrix(g_all) @ Xc - Xc).max()))
 

@@ -9,7 +9,7 @@ import pytest
 from hgsurv import cli, model
 from hgsurv.attention import write_heatmap
 from hgsurv.cli import main
-from hgsurv.datamodel import load_cohort
+from hgsurv.datamodel import load_cohort, save_cohort
 from hgsurv.membank import MemoryBank
 from hgsurv.model import forward_record, init_params, load_checkpoint, substream
 
@@ -176,6 +176,23 @@ class TestTrain:
         monkeypatch.setattr(model, "backward", poisoned)
         assert run("train", "--cohort", str(workspace / "cohort"), "--out", str(tmp_path / "o"), *TRAIN) == 2
         assert re.search(r"runtime error: P\d+: non-finite loss or gradient in epoch 0", capsys.readouterr().err)
+
+    def test_non_finite_gene_value_is_validation_error(self, workspace, tmp_path, capsys):
+        cohort = load_cohort(str(workspace / "cohort"))
+        bad = cohort.patients[2]
+        bad.genes.groups[1][0] = np.nan
+        save_cohort(cohort, str(tmp_path / "nan_cohort"))
+        assert run("train", "--cohort", str(tmp_path / "nan_cohort"), "--out", str(tmp_path / "o"), *TRAIN) == 1
+        expect = f"{bad.patient_id}: gene group {bad.genes.group_names[1]} has non-finite entries"
+        assert expect in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    @pytest.mark.parametrize("fusion, what", [("hga", "attention scores"), ("random", "logits"),
+                                              ("concat", "logits")])
+    def test_overflowing_forward_names_patient_and_epoch(self, workspace, tmp_path, capsys, fusion, what):
+        assert run("train", "--cohort", str(workspace / "cohort"), "--out", str(tmp_path / "o"),
+                   *TRAIN, "--lr", "1e300", "--fusion", fusion) == 2
+        assert re.search(rf"runtime error: P\d+: non-finite {what} in epoch \d+\n", capsys.readouterr().err)
 
     def test_malformed_config_file(self, workspace, tmp_path):
         cfg_file = tmp_path / "cfg.json"

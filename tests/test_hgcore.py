@@ -7,26 +7,28 @@ from hgsurv.hgcore import (
     ConvLayerParams,
     Hypergraph,
     degrees,
-    dump_edges,
     hg_conv_backward,
     hg_conv_backward_ext,
     hg_conv_forward,
-    incidence,
     stack_backward,
     stack_forward,
 )
+from hgsurv.hyperedges import inter_slide_edges, intra_slide_edges, merge
 from oracles import (
     conv_backward_dense,
     conv_backward_scatter,
     conv_forward_dense,
     conv_forward_scatter,
+    hypergraph,
+    incidence,
+    propagate_scatter,
     propagation_matrix,
 )
 
 
 def hg(v, *edge_sets, weights=None):
     weights = weights or [1.0] * len(edge_sets)
-    return Hypergraph(v, [(frozenset(e), w) for e, w in zip(edge_sets, weights)])
+    return hypergraph(v, list(zip(edge_sets, weights)))
 
 
 class TestIncidence:
@@ -54,6 +56,15 @@ class TestIncidence:
             hg(2, set())
         with pytest.raises(ValueError):
             hg(2, {0}, weights=[0.0])
+
+    def test_member_rows(self):
+        g = Hypergraph(4, np.array([[3, 1], [-1, 2]]), [1.0, 2.5])
+        np.testing.assert_array_equal(g.members, [[1, 3], [-1, 2]])  # rows sorted, pads first
+        assert [(m.tolist(), w) for m, w in g.edges] == [([1, 3], 1.0), ([2], 2.5)]
+        with pytest.raises(ValueError, match="repeated"):
+            Hypergraph(3, np.array([[1, 1]]))
+        with pytest.raises(ValueError, match="out of range"):
+            Hypergraph(3, np.array([[-2, 1]]))
 
 
 class TestDegrees:
@@ -108,7 +119,7 @@ def random_hypergraph(rng, v_max=12):
         size = int(rng.integers(1, v + 1))
         edges.append(frozenset(int(x) for x in rng.choice(v, size=size, replace=False)))
     weights = rng.uniform(0.2, 3.0, size=n_edges)
-    return Hypergraph(v, [(e, w) for e, w in zip(edges, weights)])
+    return hypergraph(v, list(zip(edges, weights)))
 
 
 class TestBackward:
@@ -169,7 +180,7 @@ class TestBackward:
             for sign in (1, -1):
                 w2 = weights.copy()
                 w2[e] += sign * h
-                out = hg_conv_forward(X, g.with_weights(w2), params)
+                out = hg_conv_forward(X, Hypergraph(g.num_vertices, g.members, w2), params)
                 if sign == 1:
                     lp = float(np.sum(out * d_up))
                 else:
@@ -254,7 +265,7 @@ class TestInvariants:
         X = rng.standard_normal((v, 4))
         params = ConvLayerParams(theta=rng.standard_normal((4, 4)))
         perm = rng.permutation(v)
-        g_perm = Hypergraph(v, [(frozenset(int(perm[u]) for u in e), w) for e, w in g.edges])
+        g_perm = hypergraph(v, [(frozenset(int(perm[u]) for u in e), w) for e, w in g.edges])
         out = hg_conv_forward(X, g, params)
         out_perm = hg_conv_forward(X[np.argsort(perm)], g_perm, params)
         np.testing.assert_allclose(out_perm[perm], out, atol=1e-10)
@@ -277,15 +288,15 @@ def hypergraphs(draw):
     members = st.frozensets(st.integers(min_value=0, max_value=v - 1), min_size=1)
     weight = st.floats(min_value=0.1, max_value=5.0)
     edges = draw(st.lists(st.tuples(members, weight), max_size=2 * v))
-    return Hypergraph(v, edges)
+    return hypergraph(v, edges)
 
 
 class TestOracleAgreement:
     """Forward and every backward output against the dense and the scatter oracle."""
 
     @given(hypergraphs(), st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
-    @example(Hypergraph(4, []), 0, True)  # edgeless
-    @example(Hypergraph(5, [(frozenset({0, 2}), 2.5), (frozenset({2, 3}), 0.3)]), 1, True)  # 1, 4 isolated
+    @example(hypergraph(4, []), 0, True)  # edgeless
+    @example(hypergraph(5, [(frozenset({0, 2}), 2.5), (frozenset({2, 3}), 0.3)]), 1, True)  # 1, 4 isolated
     @settings(max_examples=60, deadline=None)
     def test_matches_both_oracles(self, g, seed, nonlinear):
         rng = np.random.default_rng(seed)
@@ -307,9 +318,19 @@ class TestOracleAgreement:
                 np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
 
-def test_dump_edges(tmp_path):
-    g = hg(4, {2, 0}, {1, 3}, weights=[1.0, 2.5])
-    path = tmp_path / "edges.txt"
-    dump_edges(g, path)
-    lines = path.read_text().splitlines()
-    assert lines == ["1.0 0 2", "2.5 1 3"]
+@pytest.mark.slow
+def test_paper_scale_graph_matches_scatter_oracle():
+    """Three slides of 1024 patches on integer coordinates: P @ X and every backward output."""
+    rng = np.random.default_rng(41)
+    n, d = 1024, 8
+    coords = [rng.integers(0, 40, (n, 2)).astype(float) for _ in range(3)]
+    slides = [intra_slide_edges(c, 9, index_offset=i * n) for i, c in enumerate(coords)]
+    X = rng.standard_normal((3 * n, d))
+    g = merge(3 * n, *slides, inter_slide_edges(X, 9))
+    identity = ConvLayerParams(theta=np.eye(d), use_nonlinearity=False)
+    PX = hg_conv_forward(X, g, identity)
+    np.testing.assert_allclose(PX, propagate_scatter(g, X), rtol=1e-10, atol=1e-12)
+    params = ConvLayerParams(theta=rng.standard_normal((d, d)))
+    d_up = rng.standard_normal((3 * n, d))
+    for got, want in zip(hg_conv_backward_ext(X, g, params, d_up), conv_backward_scatter(X, g, params, d_up)):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)

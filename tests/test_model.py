@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import adam_init_per_array, adam_step_per_array
 
-from hgsurv import model
+from hgsurv import hyperedges, model
 from hgsurv.attention import AttnParams
 from hgsurv.datamodel import Censor, GeneGroups, PatientRecord, Slide, SlideKind, SurvivalLabel
 from hgsurv.hgcore import ConvLayerParams
@@ -430,6 +431,22 @@ class TestFlatBuffer:
         assert all(np.shares_memory(g, grads.flat) for g in grads.values())
         assert not np.shares_memory(grads.flat, params.arrays().flat)
 
+    def test_backward_reuses_one_buffer_cleared_whole(self):
+        rec, cfg, params = micro_setup()
+        prepared = prepare_record(rec, cfg)
+        grads = {}
+        for fusion in (FusionMode.HYPERGRAPH_ATTN, FusionMode.CONCAT):
+            c = TrainConfig(**{**cfg.__dict__, "fusion_mode": fusion})
+            fwd = forward(prepared, params, c)
+            _, gl = nll_loss([fwd.output], [rec.label])
+            grads[fusion] = backward(fwd, prepared, params, c, gl[0])
+            snapshot = grads[fusion].flat.copy()
+            assert backward(fwd, prepared, params, c, gl[0]).flat.tolist() == snapshot.tolist()
+            assert grads[fusion]["attn_wq"].any() == (fusion is FusionMode.HYPERGRAPH_ATTN)
+        assert grads[FusionMode.HYPERGRAPH_ATTN] is grads[FusionMode.CONCAT]
+        concat = grads[FusionMode.CONCAT]
+        assert not concat["attn_wq"].any() and not concat["attn_wk"].any() and not concat["ga0_theta"].any()
+
 
 @st.composite
 def adam_runs(draw):
@@ -528,6 +545,31 @@ class TestHookContract:
         evaluate(cohort.patients, result.params, cfg, result.bank)
         assert calls["forward_record"] == n and calls["forward"] == n
         assert calls["train_epoch"] == calls["adam_step"] == 0
+
+
+    def test_graph_contract(self):
+        """What the benchmark's counters read: builder lengths, edge sizes, retained indices."""
+        cohort = generate(SynthConfig(n_patients=1, slides_per_patient=(2, 2), patches_per_slide=5, d=8,
+                                      w_groups=3, seed=4))
+        rec = cohort.patients[0]
+        cfg = TrainConfig(lam=3, beta_fraction=0.5, bins=4, seed=6)
+        params = init_params(8, 4, cohort_gene_raw_lens(cohort), cfg, substream(6, "init"))
+        slide = rec.slides[0]
+        assert len(hyperedges.intra_slide_edges(slide.coords, cfg.lam)) == slide.n_patches
+        assert len(hyperedges.inter_slide_edges(slide.features, cfg.lam)) == slide.n_patches
+        fwd = forward(prepare_record(rec, cfg), params, cfg)
+        for hg in (fwd.hg_ms, fwd.hg_ga):
+            pairs = hg.edges
+            assert len(pairs) == hg.num_edges
+            assert sum(len(members) for members, _ in pairs) == np.count_nonzero(hg.members >= 0)
+            assert all(isinstance(w, float) for _, w in pairs)
+        build = fwd.gene_build
+        assert len(build.edges) == fwd.n_groups == len(list(build.retained))
+        keep = math.ceil(cfg.beta_fraction * fwd.n_patches)
+        for w, idx in enumerate(build.retained):
+            assert idx.ndim == 1 and idx.dtype.kind == "i" and len(idx) == keep
+            assert set(idx.tolist()) | {fwd.n_patches + w} == set(fwd.hg_ga.edges[w][0].tolist())
+        assert build.scores.shape == (fwd.n_groups, fwd.n_patches)
 
 
 class TestCheckpointV1:
