@@ -7,44 +7,23 @@ feature mixing happens in the hypergraph convolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass
-class AttnParams:
-    wq: np.ndarray  # d x d_k
-    wk: np.ndarray  # d x d_k
-
-    def __post_init__(self):
-        self.wq = np.asarray(self.wq, dtype=np.float64)
-        self.wk = np.asarray(self.wk, dtype=np.float64)
-        if self.wq.shape != self.wk.shape or self.wq.ndim != 2:
-            raise ValueError("wq and wk must be matrices of identical shape")
-        if self.wq.shape[1] < 1:
-            raise ValueError("d_k must be >= 1")
-        if not (np.all(np.isfinite(self.wq)) and np.all(np.isfinite(self.wk))):
-            raise ValueError("attention parameters must be finite")
-
-    @property
-    def d_k(self) -> int:
-        return self.wq.shape[1]
-
-
-def attn_scores(genes: np.ndarray, patches: np.ndarray, params: AttnParams) -> np.ndarray:
-    """W x N score matrix (genes Wq)(patches Wk)^T / sqrt(d_k)."""
+def attn_scores(genes: np.ndarray, patches: np.ndarray, wq: np.ndarray, wk: np.ndarray) -> np.ndarray:
+    """W x N score matrix (genes wq)(patches wk)^T / sqrt(d_k), for d x d_k projections wq, wk."""
     genes = np.asarray(genes, dtype=np.float64)
     patches = np.asarray(patches, dtype=np.float64)
-    if genes.shape[1] != params.wq.shape[0] or patches.shape[1] != params.wk.shape[0]:
+    if genes.shape[1] != wq.shape[0] or patches.shape[1] != wk.shape[0]:
         raise ValueError("feature width does not match projection rows")
-    return (genes @ params.wq) @ (patches @ params.wk).T / np.sqrt(params.d_k)
+    return (genes @ wq) @ (patches @ wk).T / np.sqrt(wq.shape[1])
 
 
 def attn_scores_backward(
     genes: np.ndarray,
     patches: np.ndarray,
-    params: AttnParams,
+    wq: np.ndarray,
+    wk: np.ndarray,
     d_scores: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Reverse-mode gradients (d_genes, d_patches, d_wq, d_wk)."""
@@ -53,13 +32,13 @@ def attn_scores_backward(
     d_scores = np.asarray(d_scores, dtype=np.float64)
     if d_scores.shape != (genes.shape[0], patches.shape[0]):
         raise ValueError("d_scores shape must be (n_genes, n_patches)")
-    scale = 1.0 / np.sqrt(params.d_k)
-    q = genes @ params.wq
-    k = patches @ params.wk
+    scale = 1.0 / np.sqrt(wq.shape[1])
+    q = genes @ wq
+    k = patches @ wk
     d_q = scale * d_scores @ k
     d_k_ = scale * d_scores.T @ q
-    d_genes = d_q @ params.wq.T
-    d_patches = d_k_ @ params.wk.T
+    d_genes = d_q @ wq.T
+    d_patches = d_k_ @ wk.T
     d_wq = genes.T @ d_q
     d_wk = patches.T @ d_k_
     return d_genes, d_patches, d_wq, d_wk

@@ -170,29 +170,33 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
+def _training_setup(args):
+    """Cohort, config, fold assignment and gene raw lengths of a train or ablate run."""
     cohort = _load_cohort_checked(args.cohort)
     cfg = _train_config(args)
     if cfg.bins != cohort.n_bins:
-        raise ValidationError(
-            f"--bins {cfg.bins} does not match cohort bins {cohort.n_bins}"
-        )
-    folds = _resolve_folds(cohort, args.folds, cfg.seed)
+        raise ValidationError(f"--bins {cfg.bins} does not match cohort bins {cohort.n_bins}")
     incomplete = [p.patient_id for p in cohort.patients if not (p.has_pathology and p.has_genes)]
     if incomplete:
         raise ValidationError(f"incomplete training records: {', '.join(incomplete[:5])}")
     os.makedirs(args.out, exist_ok=True)
-    raw_lens = cohort_gene_raw_lens(cohort)
+    return cohort, cfg, _resolve_folds(cohort, args.folds, cfg.seed), cohort_gene_raw_lens(cohort)
 
-    n_folds = int(folds.max()) + 1
-    fold_rows = []
-    timing = {}
-    t_all = time.perf_counter()
-    for fold in range(n_folds):
-        t0 = time.perf_counter()
+
+def _cross_validate(cohort: Cohort, folds: np.ndarray, cfg: TrainConfig, raw_lens: list[int]):
+    """Per fold: (fold, train records, held-out records, TrainResult, EvalResult on the held-out)."""
+    for fold in range(int(folds.max()) + 1):
         train_recs, val_recs = _split(cohort, folds, fold)
         result = train_fold(train_recs, cohort.d, raw_lens, cfg, fold=fold)
-        ev = evaluate(val_recs, result.params, cfg, result.bank)
+        yield fold, train_recs, val_recs, result, evaluate(val_recs, result.params, cfg, result.bank)
+
+
+def cmd_train(args) -> int:
+    cohort, cfg, folds, raw_lens = _training_setup(args)
+    fold_rows = []
+    timing = {}
+    t_all = t0 = time.perf_counter()
+    for fold, train_recs, val_recs, result, ev in _cross_validate(cohort, folds, cfg, raw_lens):
         save_checkpoint(os.path.join(args.out, f"fold_{fold}.npz"), result.params, cfg, raw_lens)
         result.bank.save(os.path.join(args.out, f"fold_{fold}.bank.txt"))
         fold_rows.append(
@@ -206,13 +210,14 @@ def cmd_train(args) -> int:
         )
         timing[f"fold_{fold}"] = time.perf_counter() - t0
         print(f"fold {fold}: val C-index {ev.c_index:.4f} (final loss {result.epoch_losses[-1]:.4f})")
+        t0 = time.perf_counter()
     timing["total"] = time.perf_counter() - t_all
     cs = [r["c_index"] for r in fold_rows]
     manifest = {
         "command": "train",
         "seed": cfg.seed,
         "config": cfg.to_dict(),
-        "n_folds": n_folds,
+        "n_folds": len(fold_rows),
         "folds": fold_rows,
         "c_index_mean": float(np.mean(cs)),
         "c_index_std": float(np.std(cs)),
@@ -326,15 +331,7 @@ def _export_heatmap(args, cohort: Cohort, n_folds: int) -> None:
 
 
 def cmd_ablate(args) -> int:
-    cohort = _load_cohort_checked(args.cohort)
-    base = _train_config(args)
-    if base.bins != cohort.n_bins:
-        raise ValidationError(f"--bins {base.bins} does not match cohort bins {cohort.n_bins}")
-    folds = _resolve_folds(cohort, args.folds, base.seed)
-    n_folds = int(folds.max()) + 1
-    raw_lens = cohort_gene_raw_lens(cohort)
-    os.makedirs(args.out, exist_ok=True)
-
+    cohort, base, folds, raw_lens = _training_setup(args)
     lambdas = [5, 9, 25]
     cells = []
     timing = {}
@@ -344,14 +341,9 @@ def cmd_ablate(args) -> int:
             for fusion in FusionMode:
                 cfg = dataclasses.replace(base, lam=lam, edge_mode=edge_mode, fusion_mode=fusion)
                 t0 = time.perf_counter()
-                cs = []
-                fold_rows = []
-                for fold in range(n_folds):
-                    train_recs, val_recs = _split(cohort, folds, fold)
-                    result = train_fold(train_recs, cohort.d, raw_lens, cfg, fold=fold)
-                    ev = evaluate(val_recs, result.params, cfg, result.bank)
-                    cs.append(ev.c_index)
-                    fold_rows.append({"fold": fold, "c_index": ev.c_index})
+                fold_rows = [{"fold": fold, "c_index": ev.c_index}
+                             for fold, *_, ev in _cross_validate(cohort, folds, cfg, raw_lens)]
+                cs = [r["c_index"] for r in fold_rows]
                 cell = {
                     "lambda": lam,
                     "edge_mode": edge_mode.value,
@@ -371,7 +363,7 @@ def cmd_ablate(args) -> int:
         "command": "ablate",
         "seed": base.seed,
         "config": base.to_dict(),
-        "n_folds": n_folds,
+        "n_folds": int(folds.max()) + 1,
         "cells": cells,
         "timing_sec": timing,
     }

@@ -33,18 +33,6 @@ class Censor(Enum):
     CENSORED = "censored"
 
 
-@dataclass(frozen=True)
-class PatchFeature:
-    feature: np.ndarray  # length-d embedding
-    coord: tuple[float, float]
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.feature)):
-            raise ValueError("patch feature must be finite")
-        if not all(np.isfinite(c) for c in self.coord):
-            raise ValueError("patch coordinates must be finite")
-
-
 @dataclass
 class Slide:
     slide_id: str
@@ -63,15 +51,6 @@ class Slide:
     @property
     def n_patches(self) -> int:
         return self.features.shape[0]
-
-    def patch(self, i: int) -> PatchFeature:
-        return PatchFeature(feature=self.features[i], coord=(float(self.coords[i, 0]), float(self.coords[i, 1])))
-
-    @classmethod
-    def from_patches(cls, slide_id: str, kind: SlideKind, patches: list[PatchFeature]) -> "Slide":
-        feats = np.stack([p.feature for p in patches])
-        coords = np.array([p.coord for p in patches], dtype=np.float64)
-        return cls(slide_id=slide_id, kind=kind, features=feats, coords=coords)
 
 
 @dataclass

@@ -95,17 +95,6 @@ class Hypergraph:
         return [(row[row >= 0], float(w)) for row, w in zip(self.members, self.weights)]
 
 
-@dataclass
-class ConvLayerParams:
-    theta: np.ndarray  # d_in x d_out
-    use_nonlinearity: bool = True
-
-    def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=np.float64)
-        if self.theta.ndim != 2 or not np.all(np.isfinite(self.theta)):
-            raise ValueError("theta must be a finite 2-d matrix")
-
-
 def degrees(hg: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     """Weighted vertex degrees (sum of incident edge weights) and edge sizes."""
     dv = np.bincount(hg._vidx, weights=hg.weights[hg._eidx], minlength=hg.num_vertices)
@@ -144,30 +133,24 @@ def _propagate(hg: Hypergraph, X: np.ndarray) -> np.ndarray:
     return _operator(hg) @ X
 
 
-def hg_conv_forward(X: np.ndarray, hg: Hypergraph, params: ConvLayerParams) -> np.ndarray:
+def hg_conv_forward(X: np.ndarray, hg: Hypergraph, theta: np.ndarray, nonlin: bool) -> np.ndarray:
+    """One layer: leaky(P X theta) if nonlin, else P X theta, for a d_in x d_out theta."""
     X = np.asarray(X, dtype=np.float64)
-    if X.shape[1] != params.theta.shape[0]:
-        raise ValueError(f"feature width {X.shape[1]} does not match theta rows {params.theta.shape[0]}")
-    pre = _propagate(hg, X) @ params.theta
-    return leaky(pre) if params.use_nonlinearity else pre
-
-
-def hg_conv_backward(
-    X: np.ndarray, hg: Hypergraph, params: ConvLayerParams, d_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reverse-mode gradients (dL/dX, dL/dTheta) of hg_conv_forward."""
-    d_x, d_theta, _ = hg_conv_backward_ext(X, hg, params, d_out, want_weight_grad=False)
-    return d_x, d_theta
+    if X.shape[1] != theta.shape[0]:
+        raise ValueError(f"feature width {X.shape[1]} does not match theta rows {theta.shape[0]}")
+    pre = _propagate(hg, X) @ theta
+    return leaky(pre) if nonlin else pre
 
 
 def hg_conv_backward_ext(
     X: np.ndarray,
     hg: Hypergraph,
-    params: ConvLayerParams,
+    theta: np.ndarray,
+    nonlin: bool,
     d_out: np.ndarray,
     want_weight_grad: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Backward pass, optionally including dL/d(edge weights).
+    """Reverse-mode gradients (dL/dX, dL/dTheta, dL/d(edge weights) or None) of hg_conv_forward.
 
     The weight gradient accounts for the explicit W factor and for the
     dependence of both Dv^{-1/2} scalings on the weights. It is built from
@@ -177,12 +160,12 @@ def hg_conv_backward_ext(
     X = np.asarray(X, dtype=np.float64)
     d_out = np.asarray(d_out, dtype=np.float64)
     PX = _propagate(hg, X)
-    pre = PX @ params.theta
+    pre = PX @ theta
     if d_out.shape != pre.shape:
         raise ValueError(f"upstream gradient shape {d_out.shape} != output shape {pre.shape}")
-    g = d_out * leaky_grad(pre) if params.use_nonlinearity else d_out
+    g = d_out * leaky_grad(pre) if nonlin else d_out
     d_theta = PX.T @ g
-    d_px = g @ params.theta.T
+    d_px = g @ theta.T
     d_x = _propagate(hg, d_px)  # P is symmetric
     if not want_weight_grad or hg.num_edges == 0:
         return d_x, d_theta, None
@@ -197,17 +180,18 @@ def hg_conv_backward_ext(
     return d_x, d_theta, d_w
 
 
-def stack_forward(X: np.ndarray, hg: Hypergraph, layers: list[ConvLayerParams]) -> list[np.ndarray]:
-    """Apply layers in order; returns [X, X1, ..., XL] for use by the backward pass."""
+def stack_forward(X: np.ndarray, hg: Hypergraph, thetas: list, nonlin: list[bool]) -> list[np.ndarray]:
+    """Apply the layers (theta, nonlin flag) in order; returns [X, X1, ..., XL] for the backward pass."""
     acts = [np.asarray(X, dtype=np.float64)]
-    for layer in layers:
-        acts.append(hg_conv_forward(acts[-1], hg, layer))
+    for theta, nl in zip(thetas, nonlin, strict=True):
+        acts.append(hg_conv_forward(acts[-1], hg, theta, nl))
     return acts
 
 
 def stack_backward(
     hg: Hypergraph,
-    layers: list[ConvLayerParams],
+    thetas: list[np.ndarray],
+    nonlin: list[bool],
     activations: list[np.ndarray],
     d_out: np.ndarray,
     want_weight_grad: bool = False,
@@ -217,14 +201,14 @@ def stack_backward(
     Edge-weight gradients are summed over layers since every layer shares
     the same hypergraph.
     """
-    if len(activations) != len(layers) + 1:
+    if not len(activations) == len(thetas) + 1 == len(nonlin) + 1:
         raise ValueError("activations must be the stack_forward output")
     d_x = np.asarray(d_out, dtype=np.float64)
-    d_thetas: list[np.ndarray] = [None] * len(layers)  # type: ignore[list-item]
+    d_thetas: list[np.ndarray] = [None] * len(thetas)  # type: ignore[list-item]
     d_w_total = np.zeros(hg.num_edges, dtype=np.float64) if want_weight_grad else None
-    for i in range(len(layers) - 1, -1, -1):
+    for i in range(len(thetas) - 1, -1, -1):
         d_x, d_theta, d_w = hg_conv_backward_ext(
-            activations[i], hg, layers[i], d_x, want_weight_grad=want_weight_grad
+            activations[i], hg, thetas[i], nonlin[i], d_x, want_weight_grad=want_weight_grad
         )
         d_thetas[i] = d_theta
         if want_weight_grad and d_w is not None:

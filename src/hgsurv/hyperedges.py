@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttnParams, attn_scores, softmax_rows
+from .attention import attn_scores, softmax_rows
 from .hgcore import Hypergraph
 
 
@@ -23,9 +23,10 @@ def _center_edges(keys: np.ndarray, lam: int) -> np.ndarray:
     """Member rows [center, its lam-1 smallest-key others, smallest first] for an N x N key
     matrix; the center's own key is excluded, and equal keys resolve to the lowest index.
 
-    The candidates are every key up to the row's (lam-1)-th smallest (ties
-    included), in row-major order; a stable sort by (row, key) keeps equal
-    keys in column order, and each row keeps its first lam-1.
+    The candidates are every key up to the row's (lam-1)-th smallest. A row
+    with more keys tied with that one than it needs keeps, counted in column
+    order, only the ties it needs, so every row has exactly lam-1 candidates;
+    a stable sort by (row, key) then keeps equal keys in column order.
     """
     n = keys.shape[0]
     n_pick = min(lam, n) - 1
@@ -33,10 +34,16 @@ def _center_edges(keys: np.ndarray, lam: int) -> np.ndarray:
     picked = np.empty((n, 0), dtype=np.intp)
     if n_pick > 0:
         kth = np.partition(keys, n_pick - 1, axis=1)[:, n_pick - 1 : n_pick]
-        row, col = np.nonzero(keys <= kth)
+        take = keys <= kth
+        tied_rows = np.flatnonzero(take.sum(axis=1) > n_pick)
+        if tied_rows.size:
+            sub, k = keys[tied_rows], kth[tied_rows]
+            below, tied = sub < k, sub == k
+            need = n_pick - below.sum(axis=1, keepdims=True)
+            take[tied_rows] = below | (tied & (np.cumsum(tied, axis=1) <= need))
+        row, col = np.nonzero(take)
         order = np.lexsort((keys[row, col], row))  # row is sorted already, so row[order] == row
-        rank = np.arange(row.size) - np.searchsorted(row, row)  # position within the row
-        picked = col[order[rank < n_pick]].reshape(n, n_pick)
+        picked = col[order].reshape(n, n_pick)
     return np.concatenate((np.arange(n)[:, None], picked), axis=1)
 
 
@@ -105,7 +112,8 @@ def _with_gene_vertex(patches: np.ndarray, n_patches: int) -> np.ndarray:
 def gene_attentive_edges(
     gene_feats: np.ndarray,
     patch_feats: np.ndarray,
-    attn_params: AttnParams,
+    wq: np.ndarray,
+    wk: np.ndarray,
     beta_fraction: float,
 ) -> GeneEdgeBuild:
     gene_feats = np.asarray(gene_feats, dtype=np.float64)
@@ -114,7 +122,7 @@ def gene_attentive_edges(
     if n_genes < 1 or n_patches < 1:
         raise ValueError("need at least one gene group and one patch")
     keep = _gene_keep(beta_fraction, n_patches)
-    scores = attn_scores(gene_feats, patch_feats, attn_params)
+    scores = attn_scores(gene_feats, patch_feats, wq, wk)
     if not np.isfinite(scores).all():  # an overflowed forward pass, not bad input
         raise FloatingPointError("non-finite attention scores")
     probs = softmax_rows(scores)

@@ -28,16 +28,9 @@ from enum import Enum
 
 import numpy as np
 
-from .attention import AttnParams, attn_scores_backward, softmax_rows_backward
+from .attention import attn_scores_backward, softmax_rows_backward
 from .datamodel import Censor, Cohort, PatientRecord
-from .hgcore import (
-    ConvLayerParams,
-    Hypergraph,
-    leaky,
-    leaky_grad,
-    stack_backward,
-    stack_forward,
-)
+from .hgcore import Hypergraph, leaky, leaky_grad, stack_backward, stack_forward
 from .hyperedges import (
     GeneEdgeBuild,
     gene_attentive_edges,
@@ -121,74 +114,47 @@ def param_layout(d: int, n_bins: int, gene_raw_lens: list[int], n_ms: int, n_ga:
 
 
 class FlatViews(dict):
-    """Name -> view into one new zeroed float64 vector ``flat``, in layout order."""
+    """Name -> view into one new zeroed float64 vector ``flat``, in ``param_layout`` order, and the
+    views every step reads, gathered once: each gene group's (w1, b1, w2, b2) and each stack's thetas."""
 
-    def __init__(self, layout: list[tuple[str, tuple[int, ...]]]):
+    def __init__(self, d: int, n_bins: int, gene_raw_lens: list[int], n_ms: int, n_ga: int):
         super().__init__()
-        self.layout, self.flat = layout, np.zeros(sum(math.prod(shape) for _, shape in layout))
+        self.layout = param_layout(d, n_bins, gene_raw_lens, n_ms, n_ga)
+        self.flat = np.zeros(sum(math.prod(shape) for _, shape in self.layout))
         start = 0
-        for name, shape in layout:
+        for name, shape in self.layout:
             self[name] = self.flat[start : (start := start + math.prod(shape))].reshape(shape)
+        parts = ("w1", "b1", "w2", "b2")
+        self.genes = [tuple(self[f"gene{w}_{p}"] for p in parts) for w in range(len(gene_raw_lens))]
+        self.ms_thetas = [self[f"ms{i}_theta"] for i in range(n_ms)]
+        self.ga_thetas = [self[f"ga{i}_theta"] for i in range(n_ga)]
 
 
-def _fields(named, ms_nonlin: list[bool], ga_nonlin: list[bool]) -> dict:
-    """ModelParams constructor arguments over a name -> array mapping."""
-    out = {k: named[k] for k in ("adapter_w", "adapter_b", "head_w", "head_b")}
-    n_groups = sum(name.endswith("_w1") for name in named)
-    for part in ("w1", "b1", "w2", "b2"):
-        out[f"gene_{part}"] = [named[f"gene{w}_{part}"] for w in range(n_groups)]
-    out["attn"] = AttnParams(wq=named["attn_wq"], wk=named["attn_wk"])
-    for k, nls in (("ms", ms_nonlin), ("ga", ga_nonlin)):
-        out[f"{k}_layers"] = [ConvLayerParams(named[f"{k}{i}_theta"], nl) for i, nl in enumerate(nls)]
-    return out
+class ModelParams(FlatViews):
+    """The parameters, each stack's per-layer nonlinearity flags and the one gradient buffer ``grads``.
+    ``values`` (name -> array) is copied in by name, else every parameter is 0; all must be finite."""
 
+    def __init__(self, d: int, n_bins: int, gene_raw_lens: list[int], ms_nonlin: list[bool],
+                 ga_nonlin: list[bool], values=None):
+        sizes = (d, n_bins, gene_raw_lens, len(ms_nonlin), len(ga_nonlin))
+        super().__init__(*sizes)
+        self.d, self.n_bins, self.ms_nonlin, self.ga_nonlin = d, n_bins, list(ms_nonlin), list(ga_nonlin)
+        if values is not None:
+            for name, view in self.items():
+                if name not in values:
+                    raise ValueError(f"parameter {name} is missing")
+                value = values[name]
+                if np.shape(value) != view.shape:
+                    raise ValueError(f"{name} has shape {np.shape(value)}, expected {view.shape}")
+                view[...] = value
+        if not np.isfinite(self.flat).all():
+            bad = next(name for name, view in self.items() if not np.isfinite(view).all())
+            raise ValueError(f"parameter {bad} is not finite")
+        self.grads = FlatViews(*sizes)
 
-@dataclass
-class ModelParams:
-    """Parameters in one flat float64 vector, ``arrays().flat``: the constructor copies the
-    given arrays into it and rebinds every array field, attn and layer theta to a view."""
-
-    adapter_w: np.ndarray  # d x d
-    adapter_b: np.ndarray  # d
-    gene_w1: list[np.ndarray]  # per group, raw_len x d
-    gene_b1: list[np.ndarray]
-    gene_w2: list[np.ndarray]  # d x d
-    gene_b2: list[np.ndarray]
-    attn: AttnParams
-    ms_layers: list[ConvLayerParams]
-    ga_layers: list[ConvLayerParams]
-    head_w: np.ndarray  # 2d x B
-    head_b: np.ndarray  # B
-
-    def __post_init__(self):
-        stacks = {"ms": self.ms_layers, "ga": self.ga_layers}
-        raw_lens = [np.shape(w1)[0] for w1 in self.gene_w1]
-        views = FlatViews(param_layout(self.d, self.n_bins, raw_lens, *map(len, stacks.values())))
-        given = {k: getattr(self, k) for k in ("adapter_w", "adapter_b", "head_w", "head_b")}
-        given.update(attn_wq=self.attn.wq, attn_wk=self.attn.wk)
-        for part in ("w1", "b1", "w2", "b2"):
-            given.update((f"gene{w}_{part}", a) for w, a in enumerate(getattr(self, f"gene_{part}")))
-        given.update((f"{k}{i}_theta", l.theta) for k, s in stacks.items() for i, l in enumerate(s))
-        if given.keys() != views.keys():
-            raise ValueError(f"parameters {sorted(given.keys() ^ views.keys())} do not fit the layout")
-        for name, view in views.items():  # by name: param_layout alone fixes the order
-            if np.shape(given[name]) != view.shape:
-                raise ValueError(f"{name} has shape {np.shape(given[name])}, expected {view.shape}")
-            view[...] = given[name]
-        nonlin = [[layer.use_nonlinearity for layer in stack] for stack in stacks.values()]
-        self.__dict__.update(_fields(views, *nonlin), _views=views, _grads=FlatViews(views.layout))
-
-    @property
-    def d(self) -> int:
-        return self.adapter_w.shape[0]
-
-    @property
-    def n_bins(self) -> int:
-        return self.head_b.shape[0]
-
-    def arrays(self) -> FlatViews:
-        """Name -> view into the flat buffer, in layout order."""
-        return self._views
+    def arrays(self) -> "ModelParams":
+        """The name -> view map itself (perfbench's gradient check writes through it)."""
+        return self
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -200,12 +166,12 @@ def init_params(
     d: int, n_bins: int, gene_raw_lens: list[int], cfg: TrainConfig, rng: np.random.Generator
 ) -> ModelParams:
     """Zero biases; Glorot matrices drawn every gene_w1, every gene_w2, then in layout order."""
-    arrays = FlatViews(param_layout(d, n_bins, gene_raw_lens, cfg.ms_layers, cfg.ga_layers))
+    params = ModelParams(d, n_bins, gene_raw_lens, [True] * cfg.ms_layers, [True] * cfg.ga_layers)
     draws = [f"gene{w}_{part}" for part in ("w1", "w2") for w in range(len(gene_raw_lens))]
-    draws += [name for name, shape in arrays.layout if len(shape) == 2 and not name.startswith("gene")]
+    draws += [name for name, shape in params.layout if len(shape) == 2 and not name.startswith("gene")]
     for name in draws:
-        arrays[name][...] = _glorot(rng, *arrays[name].shape)
-    return ModelParams(**_fields(arrays, [True] * cfg.ms_layers, [True] * cfg.ga_layers))
+        params[name][...] = _glorot(rng, *params[name].shape)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +190,14 @@ class PreparedRecord:
     record: PatientRecord
 
 
-def _subsample(slide_feats, slide_coords, n_max, rng):
-    n = slide_feats.shape[0]
-    if n <= n_max:
-        return slide_feats, slide_coords
-    idx = np.sort(rng.choice(n, size=n_max, replace=False))
-    return slide_feats[idx], slide_coords[idx]
+def _subsample(slide, n_max: int, seed: int, patient_id: str):
+    """The slide's features and coords, cut to n_max rows drawn from a substream named after
+    the slide; a slide that fits is returned whole and draws nothing."""
+    if slide.n_patches <= n_max:
+        return slide.features, slide.coords
+    rng = substream(seed, "subsample", patient_id, slide.slide_id)
+    idx = np.sort(rng.choice(slide.n_patches, size=n_max, replace=False))
+    return slide.features[idx], slide.coords[idx]
 
 
 def build_multislide_graph(
@@ -255,8 +223,7 @@ def prepare_record(
     if record.has_pathology and missing is not Modality.PATH:
         feats, crds = [], []
         for s in record.slides:
-            rng = substream(cfg.seed, "subsample", record.patient_id, s.slide_id)
-            f, c = _subsample(s.features, s.coords, cfg.n_max, rng)
+            f, c = _subsample(s, cfg.n_max, cfg.seed, record.patient_id)
             feats.append(f)
             crds.append(c)
         x_raw = np.vstack(feats)
@@ -298,10 +265,10 @@ class ForwardResult:
 
 def _encode_genes(gene_raw, params):
     pre1, hidden, enc = [], [], []
-    for w, raw in enumerate(gene_raw):
-        p1 = raw @ params.gene_w1[w] + params.gene_b1[w]
+    for raw, (w1, b1, w2, b2) in zip(gene_raw, params.genes, strict=True):
+        p1 = raw @ w1 + b1
         h = leaky(p1)
-        enc.append(h @ params.gene_w2[w] + params.gene_b2[w])
+        enc.append(h @ w2 + b2)
         pre1.append(p1)
         hidden.append(h)
     return pre1, hidden, np.vstack(enc)
@@ -332,7 +299,7 @@ def forward(
     if not miss_path:
         x_raw = prepared.x_raw
         hg_ms = prepared.hg_ms
-        xp = x_raw @ params.adapter_w + params.adapter_b
+        xp = x_raw @ params["adapter_w"] + params["adapter_b"]
     else:
         query = genes_enc.mean(axis=0)
         standin = bank.retrieve_missing(query, available=Modality.GENE)
@@ -340,7 +307,7 @@ def forward(
         hg_ms = _STANDIN_GRAPH
         xp = x_raw  # stand-in enters already encoded
 
-    acts_ms = stack_forward(xp, hg_ms, params.ms_layers)
+    acts_ms = stack_forward(xp, hg_ms, params.ms_thetas, params.ms_nonlin)
     ph = acts_ms[-1]
     n = ph.shape[0]
 
@@ -358,17 +325,18 @@ def forward(
         pooled_g = genes_enc.mean(axis=0)
     else:
         if cfg.fusion_mode is FusionMode.HYPERGRAPH_ATTN:
-            gene_build = gene_attentive_edges(genes_enc, ph, params.attn, cfg.beta_fraction)
+            gene_build = gene_attentive_edges(genes_enc, ph, params["attn_wq"], params["attn_wk"],
+                                              cfg.beta_fraction)
             hg_ga = Hypergraph(n + w_eff, gene_build.edges, gene_build.weights)
         else:  # each edge holds its own gene vertex, so no two coincide and no merge is needed
             rng = substream(cfg.seed, "random-edges", record.patient_id)
             hg_ga = Hypergraph(n + w_eff, random_gene_edges(w_eff, n, cfg.beta_fraction, rng))
-        acts_ga = stack_forward(np.vstack([ph, genes_enc]), hg_ga, params.ga_layers)
+        acts_ga = stack_forward(np.vstack([ph, genes_enc]), hg_ga, params.ga_thetas, params.ga_nonlin)
         pooled_p = acts_ga[-1][:n].mean(axis=0)
         pooled_g = acts_ga[-1][n:].mean(axis=0)
 
     fusion = np.concatenate([pooled_p, pooled_g])
-    logits = fusion @ params.head_w + params.head_b
+    logits = fusion @ params["head_w"] + params["head_b"]
     if not np.isfinite(logits).all():  # an overflowed forward pass, not bad input
         raise FloatingPointError("non-finite logits")
     output = hazards_from_logits(logits)
@@ -410,8 +378,8 @@ def forward_record(
 
 def zero_grads(params: ModelParams) -> FlatViews:
     """The params' one gradient buffer, cleared. All of it: concat fusion leaves ga/attn unwritten."""
-    params._grads.flat.fill(0)
-    return params._grads
+    params.grads.flat.fill(0)
+    return params.grads
 
 
 def backward(
@@ -433,7 +401,7 @@ def backward(
 
     grads["head_w"][:] = np.outer(fwd.fusion, d_logits)
     grads["head_b"][:] = d_logits
-    d_fusion = params.head_w @ d_logits
+    d_fusion = params["head_w"] @ d_logits
     d_pooled_p, d_pooled_g = d_fusion[: params.d], d_fusion[params.d :]
 
     d_ph = np.zeros_like(fwd.acts_ms[-1])
@@ -448,10 +416,10 @@ def backward(
         )
         want_w = cfg.fusion_mode is FusionMode.HYPERGRAPH_ATTN
         d_xg_in, d_thetas, d_w = stack_backward(
-            fwd.hg_ga, params.ga_layers, fwd.acts_ga, d_xg_out, want_weight_grad=want_w
+            fwd.hg_ga, params.ga_thetas, params.ga_nonlin, fwd.acts_ga, d_xg_out, want_weight_grad=want_w
         )
-        for i, dt in enumerate(d_thetas):
-            grads[f"ga{i}_theta"][:] = dt
+        for g, dt in zip(grads.ga_thetas, d_thetas):
+            g[:] = dt
         d_ph += d_xg_in[:n]
         d_genes_enc += d_xg_in[n:]
         if want_w:
@@ -460,28 +428,29 @@ def backward(
             np.put_along_axis(d_probs, build.retained, (d_w * n / build.retained.shape[1])[:, None], axis=1)
             d_scores = softmax_rows_backward(build.probs, d_probs)
             dg_attn, dp_attn, d_wq, d_wk = attn_scores_backward(
-                fwd.genes_enc, fwd.acts_ms[-1], params.attn, d_scores
+                fwd.genes_enc, fwd.acts_ms[-1], params["attn_wq"], params["attn_wk"], d_scores
             )
             d_genes_enc += dg_attn
             d_ph += dp_attn
             grads["attn_wq"][:] = d_wq
             grads["attn_wk"][:] = d_wk
 
-    d_xp, d_thetas_ms, _ = stack_backward(fwd.hg_ms, params.ms_layers, fwd.acts_ms, d_ph)
-    for i, dt in enumerate(d_thetas_ms):
-        grads[f"ms{i}_theta"][:] = dt
+    d_xp, d_thetas_ms, _ = stack_backward(fwd.hg_ms, params.ms_thetas, params.ms_nonlin, fwd.acts_ms, d_ph)
+    for g, dt in zip(grads.ms_thetas, d_thetas_ms):
+        g[:] = dt
     grads["adapter_w"][:] = fwd.x_raw.T @ d_xp
     grads["adapter_b"][:] = d_xp.sum(axis=0)
 
     for w in range(w_eff):
         dg = d_genes_enc[w]
         h = fwd.gene_hidden[w]
-        grads[f"gene{w}_w2"][:] = np.outer(h, dg)
-        grads[f"gene{w}_b2"][:] = dg
-        dh = params.gene_w2[w] @ dg
+        g_w1, g_b1, g_w2, g_b2 = grads.genes[w]
+        g_w2[:] = np.outer(h, dg)
+        g_b2[:] = dg
+        dh = params.genes[w][2] @ dg  # the group's w2
         dpre1 = dh * leaky_grad(fwd.gene_pre1[w])
-        grads[f"gene{w}_w1"][:] = np.outer(prepared.gene_raw[w], dpre1)
-        grads[f"gene{w}_b1"][:] = dpre1
+        g_w1[:] = np.outer(prepared.gene_raw[w], dpre1)
+        g_b1[:] = dpre1
     return grads
 
 
@@ -490,7 +459,7 @@ def backward(
 
 
 def adam_init(params: ModelParams) -> dict:
-    n = params.arrays().flat.size
+    n = params.flat.size
     return {"t": 0, "m": np.zeros(n), "v": np.zeros(n), "scratch": np.empty((2, n))}
 
 
@@ -499,7 +468,7 @@ def adam_step(params: ModelParams, grads: FlatViews, state: dict, lr: float, wei
     """One Adam step with decoupled weight decay, fused over the flat vectors. Temporaries go to
     the scratch rows: allocating one per operation would cost more than the arithmetic."""
     state["t"] = t = state["t"] + 1
-    p, g, m, v, (s, u) = params.arrays().flat, grads.flat, state["m"], state["v"], state["scratch"]
+    p, g, m, v, (s, u) = params.flat, grads.flat, state["m"], state["v"], state["scratch"]
     m *= beta1
     m += np.multiply(g, 1 - beta1, out=s)
     v *= beta2
@@ -604,13 +573,11 @@ def save_checkpoint(path, params: ModelParams, cfg: TrainConfig, gene_raw_lens: 
         "d": params.d,
         "bins": params.n_bins,
         "gene_raw_lens": list(gene_raw_lens),
-        "ms_nonlin": [l.use_nonlinearity for l in params.ms_layers],
-        "ga_nonlin": [l.use_nonlinearity for l in params.ga_layers],
+        "ms_nonlin": params.ms_nonlin,
+        "ga_nonlin": params.ga_nonlin,
         "config": cfg.to_dict(),
     }
-    arrays = dict(params.arrays())
-    arrays["_meta"] = np.array(json.dumps(meta, sort_keys=True))
-    np.savez(path, **arrays)
+    np.savez(path, **params, _meta=np.array(json.dumps(meta, sort_keys=True)))
 
 
 def load_checkpoint(
@@ -625,10 +592,8 @@ def load_checkpoint(
         if expect_bins is not None and meta["bins"] != expect_bins:
             raise ValueError(f"checkpoint bins={meta['bins']} does not match expected bins={expect_bins}")
         cfg = TrainConfig.from_dict(meta["config"])
-        layout = param_layout(meta["d"], meta["bins"], meta["gene_raw_lens"],
-                              len(meta["ms_nonlin"]), len(meta["ga_nonlin"]))
-        arrays = {name: data[name] for name, _ in layout}
-    params = ModelParams(**_fields(arrays, meta["ms_nonlin"], meta["ga_nonlin"]))
+        params = ModelParams(meta["d"], meta["bins"], meta["gene_raw_lens"], meta["ms_nonlin"],
+                             meta["ga_nonlin"], data)
     return params, cfg, meta
 
 

@@ -26,7 +26,7 @@ EPS = 1e-7
 class HazardOutput:
     hazards: np.ndarray  # B values in (0, 1)
     survival: np.ndarray  # B values, cumulative product of 1 - hazard
-    risk: float
+    risk: float  # -sum(survival), strictly increasing in every hazard
 
     @property
     def n_bins(self) -> int:
@@ -40,11 +40,6 @@ def hazards_from_logits(logits: np.ndarray) -> HazardOutput:
     hazards = np.clip(1.0 / (1.0 + np.exp(-logits)), EPS, 1.0 - EPS)
     survival = np.cumprod(1.0 - hazards)
     return HazardOutput(hazards=hazards, survival=survival, risk=float(-survival.sum()))
-
-
-def risk_score(output: HazardOutput) -> float:
-    """Scalar risk, strictly increasing in every hazard component."""
-    return float(-output.survival.sum())
 
 
 def _sample_loss_and_hazard_grad(out: HazardOutput, label: SurvivalLabel) -> tuple[float, np.ndarray]:

@@ -15,7 +15,7 @@ cached operator:
   ``np.add.at`` gathers and scatters over the index arrays.
 
 Each ``conv_backward_*`` returns (dL/dX, dL/dTheta, dL/dweights) of
-``sum(hg_conv_forward(X, hg, params) * d_out)``.
+``sum(hg_conv_forward(X, hg, theta, nonlin) * d_out)``.
 
 ``bank_retrieve_scan`` is ``MemoryBank.retrieve_missing`` as a per-entry
 scalar scan over the stored rows.
@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from hgsurv.attention import attn_scores, softmax_rows
-from hgsurv.hgcore import ConvLayerParams, Hypergraph, leaky, leaky_grad
+from hgsurv.hgcore import Hypergraph, leaky, leaky_grad
 from hgsurv.hyperedges import cosine_similarity_matrix
 
 
@@ -78,11 +78,11 @@ def inter_slide_sets(feats, lam: int):
     return edges
 
 
-def gene_attentive_sets(gene_feats, patch_feats, attn_params, beta_fraction: float):
+def gene_attentive_sets(gene_feats, patch_feats, wq, wk, beta_fraction: float):
     """(edges, scores, probs, retained) of the gene-attentive graph."""
     n_genes, n_patches = gene_feats.shape[0], patch_feats.shape[0]
     keep = min(math.ceil(beta_fraction * n_patches), n_patches)
-    scores = attn_scores(gene_feats, patch_feats, attn_params)
+    scores = attn_scores(gene_feats, patch_feats, wq, wk)
     probs = softmax_rows(scores)
     edges = []
     retained = []
@@ -141,23 +141,23 @@ def propagation_matrix(hg: Hypergraph) -> np.ndarray:
     return np.diag(r) @ H @ np.diag(w / de) @ H.T @ np.diag(r)
 
 
-def _activate(pre, params: ConvLayerParams):
-    return leaky(pre) if params.use_nonlinearity else pre
+def _activate(pre, nonlin: bool):
+    return leaky(pre) if nonlin else pre
 
 
-def _pre_grad(pre, params: ConvLayerParams, d_out):
-    return d_out * leaky_grad(pre) if params.use_nonlinearity else d_out
+def _pre_grad(pre, nonlin: bool, d_out):
+    return d_out * leaky_grad(pre) if nonlin else d_out
 
 
-def conv_forward_dense(X, hg: Hypergraph, params: ConvLayerParams) -> np.ndarray:
-    return _activate(propagation_matrix(hg) @ X @ params.theta, params)
+def conv_forward_dense(X, hg: Hypergraph, theta, nonlin: bool) -> np.ndarray:
+    return _activate(propagation_matrix(hg) @ X @ theta, nonlin)
 
 
-def conv_backward_dense(X, hg: Hypergraph, params: ConvLayerParams, d_out):
+def conv_backward_dense(X, hg: Hypergraph, theta, nonlin: bool, d_out):
     M = propagation_matrix(hg)
-    g = _pre_grad(M @ X @ params.theta, params, d_out)
+    g = _pre_grad(M @ X @ theta, nonlin, d_out)
     d_theta = (M @ X).T @ g
-    d_px = g @ params.theta.T
+    d_px = g @ theta.T
     d_x = M.T @ d_px
     d_w = np.zeros(hg.num_edges)
     if hg.num_edges == 0:
@@ -200,15 +200,15 @@ def propagate_scatter(hg: Hypergraph, X: np.ndarray) -> np.ndarray:
     return Z * r[:, None]
 
 
-def conv_forward_scatter(X, hg: Hypergraph, params: ConvLayerParams) -> np.ndarray:
-    return _activate(propagate_scatter(hg, X) @ params.theta, params)
+def conv_forward_scatter(X, hg: Hypergraph, theta, nonlin: bool) -> np.ndarray:
+    return _activate(propagate_scatter(hg, X) @ theta, nonlin)
 
 
-def conv_backward_scatter(X, hg: Hypergraph, params: ConvLayerParams, d_out):
+def conv_backward_scatter(X, hg: Hypergraph, theta, nonlin: bool, d_out):
     PX = propagate_scatter(hg, X)
-    g = _pre_grad(PX @ params.theta, params, d_out)
+    g = _pre_grad(PX @ theta, nonlin, d_out)
     d_theta = PX.T @ g
-    d_px = g @ params.theta.T
+    d_px = g @ theta.T
     d_x = propagate_scatter(hg, d_px)
     if hg.num_edges == 0:
         return d_x, d_theta, np.zeros(0)

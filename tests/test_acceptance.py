@@ -13,14 +13,10 @@ import time
 import numpy as np
 import pytest
 
-from hgsurv.attention import AttnParams, attn_scores, attn_scores_backward
+from hgsurv.attention import attn_scores, attn_scores_backward
 from hgsurv.cli import main as cli_main
 from hgsurv.datamodel import Censor
-from hgsurv.hgcore import (
-    ConvLayerParams,
-    hg_conv_backward,
-    hg_conv_forward,
-)
+from hgsurv.hgcore import hg_conv_backward_ext, hg_conv_forward
 from hgsurv.hyperedges import cosine_similarity_matrix, inter_slide_edges, intra_slide_edges
 from hgsurv.membank import MemoryBank, Modality
 from hgsurv.metrics import SurvPoint, c_index, km_curve, logrank_test, stratify_median
@@ -131,20 +127,20 @@ def test_criterion_1_gradient_correctness():
         ]
         g = hypergraph(v, edges)
         X = rng.standard_normal((v, 4))
-        params = ConvLayerParams(theta=rng.standard_normal((4, 3)))
+        theta = rng.standard_normal((4, 3))
         d_up = rng.standard_normal((v, 3))
-        dx, dth = hg_conv_backward(X, g, params, d_up)
-        loss = lambda: float(np.sum(hg_conv_forward(X, g, params) * d_up))
+        dx, dth, _ = hg_conv_backward_ext(X, g, theta, True, d_up, want_weight_grad=False)
+        loss = lambda: float(np.sum(hg_conv_forward(X, g, theta, True) * d_up))
         _check_grid(X, dx, loss, 1e-4)
-        _check_grid(params.theta, dth, loss, 1e-4)
+        _check_grid(theta, dth, loss, 1e-4)
 
     # attention scoring
     genes, patches = rng.standard_normal((3, 5)), rng.standard_normal((6, 5))
-    attn = AttnParams(wq=rng.standard_normal((5, 4)), wk=rng.standard_normal((5, 4)))
+    wq, wk = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
     d_up = rng.standard_normal((3, 6))
-    a_loss = lambda: float(np.sum(attn_scores(genes, patches, attn) * d_up))
-    for arr, grad in zip((genes, patches, attn.wq, attn.wk),
-                         attn_scores_backward(genes, patches, attn, d_up)):
+    a_loss = lambda: float(np.sum(attn_scores(genes, patches, wq, wk) * d_up))
+    for arr, grad in zip((genes, patches, wq, wk),
+                         attn_scores_backward(genes, patches, wq, wk, d_up)):
         _check_grid(arr, grad, a_loss, 1e-4)
 
     # censored discrete-hazard loss
@@ -289,13 +285,13 @@ def test_criterion_3_convolution_invariants():
         worst_sym = max(worst_sym, float(np.abs(M - M.T).max()))
 
         X = rng.standard_normal((v, 3))
-        params = ConvLayerParams(theta=rng.standard_normal((3, 3)), use_nonlinearity=False)
-        sparse = hg_conv_forward(X, g, params)
-        worst_agree = max(worst_agree, float(np.abs(sparse - M @ X @ params.theta).max()))
+        theta = rng.standard_normal((3, 3))
+        sparse = hg_conv_forward(X, g, theta, False)
+        worst_agree = max(worst_agree, float(np.abs(sparse - M @ X @ theta).max()))
 
         perm = rng.permutation(v)
         g_perm = hypergraph(v, [(frozenset(int(perm[u]) for u in e), w) for e, w in g.edges])
-        out_perm = hg_conv_forward(X[np.argsort(perm)], g_perm, params)
+        out_perm = hg_conv_forward(X[np.argsort(perm)], g_perm, theta, False)
         worst_equi = max(worst_equi, float(np.abs(out_perm[perm] - sparse).max()))
 
         g_all = hypergraph(v, [(frozenset(range(v)), 1.0)])

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgsurv.attention import (
-    AttnParams,
     attn_scores,
     attn_scores_backward,
     heatmap_rows,
@@ -15,7 +14,7 @@ from hgsurv.attention import (
 
 
 def identity_params(d):
-    return AttnParams(wq=np.eye(d), wk=np.eye(d))
+    return np.eye(d), np.eye(d)
 
 
 class TestScores:
@@ -23,37 +22,36 @@ class TestScores:
         d = 4
         e1 = np.zeros((1, d))
         e1[0, 0] = 1.0
-        s = attn_scores(e1, e1, identity_params(d))
+        s = attn_scores(e1, e1, *identity_params(d))
         assert s[0, 0] == pytest.approx(1.0 / np.sqrt(d))
 
     def test_orthogonal_zero(self):
         g = np.array([[1.0, 0, 0]])
         p = np.array([[0.0, 1, 0]])
-        assert attn_scores(g, p, identity_params(3))[0, 0] == 0.0
+        assert attn_scores(g, p, *identity_params(3))[0, 0] == 0.0
 
     def test_dense_oracle(self):
         rng = np.random.default_rng(0)
         g = rng.standard_normal((2, 3))
         p = rng.standard_normal((5, 3))
-        params = AttnParams(wq=rng.standard_normal((3, 2)), wk=rng.standard_normal((3, 2)))
-        s = attn_scores(g, p, params)
+        wq, wk = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
+        s = attn_scores(g, p, wq, wk)
         # direct triple-product computation
         for w in range(2):
             for j in range(5):
-                expect = (g[w] @ params.wq) @ (p[j] @ params.wk) / np.sqrt(2)
+                expect = (g[w] @ wq) @ (p[j] @ wk) / np.sqrt(2)
                 assert s[w, j] == pytest.approx(expect, abs=1e-12)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            attn_scores(np.ones((1, 3)), np.ones((1, 4)), identity_params(3))
+            attn_scores(np.ones((1, 3)), np.ones((1, 4)), *identity_params(3))
 
 
 class TestScoresBackward:
     def test_zero_upstream(self):
         rng = np.random.default_rng(1)
         g, p = rng.standard_normal((2, 3)), rng.standard_normal((4, 3))
-        params = identity_params(3)
-        outs = attn_scores_backward(g, p, params, np.zeros((2, 4)))
+        outs = attn_scores_backward(g, p, *identity_params(3), np.zeros((2, 4)))
         for o in outs:
             np.testing.assert_array_equal(o, 0)
 
@@ -61,28 +59,28 @@ class TestScoresBackward:
         rng = np.random.default_rng(2)
         g, p = rng.standard_normal((2, 3)), rng.standard_normal((4, 3))
         wq = rng.standard_normal((3, 3))
-        p1 = AttnParams(wq=wq, wk=np.eye(3))
-        p2 = AttnParams(wq=2 * wq, wk=np.eye(3))
-        np.testing.assert_allclose(attn_scores(g, p, p2), 2 * attn_scores(g, p, p1), atol=1e-12)
+        p1 = (wq, np.eye(3))
+        p2 = (2 * wq, np.eye(3))
+        np.testing.assert_allclose(attn_scores(g, p, *p2), 2 * attn_scores(g, p, *p1), atol=1e-12)
         d_up = rng.standard_normal((2, 4))
         # gradient w.r.t. wq is independent of wq's value (score is linear in it)
-        _, _, dwq1, _ = attn_scores_backward(g, p, p1, d_up)
-        _, _, dwq2, _ = attn_scores_backward(g, p, p2, d_up)
+        _, _, dwq1, _ = attn_scores_backward(g, p, *p1, d_up)
+        _, _, dwq2, _ = attn_scores_backward(g, p, *p2, d_up)
         np.testing.assert_allclose(dwq1, dwq2, atol=1e-12)
 
     def test_finite_difference(self):
         rng = np.random.default_rng(3)
         g = rng.standard_normal((2, 3))
         p = rng.standard_normal((4, 3))
-        params = AttnParams(wq=rng.standard_normal((3, 2)), wk=rng.standard_normal((3, 2)))
+        wq, wk = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
         d_up = rng.standard_normal((2, 4))
 
         def loss():
-            return float(np.sum(attn_scores(g, p, params) * d_up))
+            return float(np.sum(attn_scores(g, p, wq, wk) * d_up))
 
-        grads = attn_scores_backward(g, p, params, d_up)
+        grads = attn_scores_backward(g, p, wq, wk, d_up)
         h = 1e-6
-        for arr, grad in zip((g, p, params.wq, params.wk), grads):
+        for arr, grad in zip((g, p, wq, wk), grads):
             it = np.nditer(arr, flags=["multi_index"])
             for _ in it:
                 ix = it.multi_index

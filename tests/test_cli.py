@@ -298,6 +298,20 @@ class TestEval:
         assert run("eval", "--cohort", str(workspace / "cohort"), "--ckpt-dir", str(broken),
                    "--out", str(tmp_path / "o")) == 2
 
+    def test_non_finite_checkpoint_parameter_named(self, workspace, tmp_path, capsys):
+        import shutil
+
+        broken = tmp_path / "nan"
+        shutil.copytree(workspace / "train", broken)
+        with np.load(broken / "fold_0.npz") as data:
+            arrays = dict(data)
+        arrays["head_b"][0] = np.nan
+        np.savez(broken / "fold_0.npz", **arrays)
+        assert run("eval", "--cohort", str(workspace / "cohort"), "--ckpt-dir", str(broken),
+                   "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert "runtime error: parameter head_b is not finite\n" in err
+
     def test_checkpoint_dim_mismatch_rejected(self, workspace, tmp_path):
         other = tmp_path / "cohort16"
         assert run("generate", "--out", str(other), "--seed", "3", "--n", "16", "--patches",
@@ -343,6 +357,18 @@ class TestAblate:
             assert cell["lambda"] in (5, 9, 25)
             assert len(cell["folds"]) == 2
         assert len(seen) == 27
+
+    @pytest.mark.parametrize("lam, edge_mode, fusion", [("9", "inter", "random"), ("5", "both", "hga")])
+    def test_cell_matches_train_run(self, workspace, grid, tmp_path, lam, edge_mode, fusion):
+        out = tmp_path / "train"
+        assert run("train", "--cohort", str(workspace / "cohort"), "--out", str(out), "--epochs", "1",
+                   "--lr", "1e-3", "--beta-frac", "0.4", "--seed", "5", "--folds", "2", "--lambda", lam,
+                   "--edge-mode", edge_mode, "--fusion", fusion) == 0
+        with open(out / "manifest.json") as fh:
+            trained = [(r["fold"], r["c_index"]) for r in json.load(fh)["folds"]]
+        [cell] = [c for c in grid["cells"]
+                  if (c["lambda"], c["edge_mode"], c["fusion"]) == (int(lam), edge_mode, fusion)]
+        assert [(r["fold"], r["c_index"]) for r in cell["folds"]] == trained
 
 
 def test_help_exits_zero():

@@ -130,12 +130,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             SurvivalLabel(time=-1.0, censor=Censor.EVENT, bin=0)
 
-    def test_patch_accessor(self):
-        s = tiny_cohort().patients[0].slides[0]
-        p = s.patch(1)
-        np.testing.assert_array_equal(p.feature, s.features[1])
-        assert p.coord == (s.coords[1, 0], s.coords[1, 1])
-
 
 class TestRoundTrip:
     def test_synthetic_cohort_round_trips_bit_exact(self, tmp_path):

@@ -4,10 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hgsurv.hgcore import (
-    ConvLayerParams,
     Hypergraph,
     degrees,
-    hg_conv_backward,
     hg_conv_backward_ext,
     hg_conv_forward,
     stack_backward,
@@ -86,14 +84,12 @@ class TestDegrees:
 class TestForward:
     def test_self_edge_identity(self):
         X = np.array([[1.5, -2.0]])
-        params = ConvLayerParams(theta=np.eye(2), use_nonlinearity=False)
-        out = hg_conv_forward(X, hg(1, {0}), params)
+        out = hg_conv_forward(X, hg(1, {0}), np.eye(2), False)
         np.testing.assert_allclose(out, X)
 
     def test_no_edges_zero(self):
         X = np.arange(6.0).reshape(2, 3)
-        params = ConvLayerParams(theta=np.eye(3), use_nonlinearity=False)
-        out = hg_conv_forward(X, hg(2), params)
+        out = hg_conv_forward(X, hg(2), np.eye(3), False)
         np.testing.assert_array_equal(out, np.zeros((2, 3)))
 
     def test_dense_oracle_basis(self):
@@ -103,12 +99,11 @@ class TestForward:
         dv, de = degrees(g)
         M = np.diag(dv**-0.5) @ H @ np.diag(w / de) @ H.T @ np.diag(dv**-0.5)
         X = np.eye(3)
-        params = ConvLayerParams(theta=np.eye(3), use_nonlinearity=False)
-        np.testing.assert_allclose(hg_conv_forward(X, g, params), M @ X, atol=1e-14)
+        np.testing.assert_allclose(hg_conv_forward(X, g, np.eye(3), False), M @ X, atol=1e-14)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            hg_conv_forward(np.ones((2, 3)), hg(2, {0, 1}), ConvLayerParams(theta=np.eye(2)))
+            hg_conv_forward(np.ones((2, 3)), hg(2, {0, 1}), np.eye(2), True)
 
 
 def random_hypergraph(rng, v_max=12):
@@ -126,16 +121,15 @@ class TestBackward:
     def test_zero_upstream(self):
         g = hg(3, {0, 1}, {1, 2})
         X = np.ones((3, 2))
-        params = ConvLayerParams(theta=np.ones((2, 2)))
-        dx, dth = hg_conv_backward(X, g, params, np.zeros((3, 2)))
+        theta = np.ones((2, 2))
+        dx, dth, _ = hg_conv_backward_ext(X, g, theta, True, np.zeros((3, 2)), want_weight_grad=False)
         np.testing.assert_array_equal(dx, 0)
         np.testing.assert_array_equal(dth, 0)
 
     def test_self_edge_identity_map(self):
         X = np.array([[0.3, 0.7]])
-        params = ConvLayerParams(theta=np.eye(2), use_nonlinearity=False)
         d_out = np.array([[1.0, -2.0]])
-        dx, _ = hg_conv_backward(X, hg(1, {0}), params, d_out)
+        dx, _, _ = hg_conv_backward_ext(X, hg(1, {0}), np.eye(2), False, d_out, want_weight_grad=False)
         np.testing.assert_allclose(dx, d_out)
 
     @pytest.mark.parametrize("trial", range(6))
@@ -144,15 +138,15 @@ class TestBackward:
         g = random_hypergraph(rng)
         d_in, d_out_dim = int(rng.integers(1, 6)), int(rng.integers(1, 6))
         X = rng.standard_normal((g.num_vertices, d_in))
-        params = ConvLayerParams(theta=rng.standard_normal((d_in, d_out_dim)), use_nonlinearity=True)
+        theta = rng.standard_normal((d_in, d_out_dim))
         d_up = rng.standard_normal((g.num_vertices, d_out_dim))
 
         def loss():
-            return float(np.sum(hg_conv_forward(X, g, params) * d_up))
+            return float(np.sum(hg_conv_forward(X, g, theta, True) * d_up))
 
-        dx, dth = hg_conv_backward(X, g, params, d_up)
+        dx, dth, _ = hg_conv_backward_ext(X, g, theta, True, d_up, want_weight_grad=False)
         h = 1e-6
-        for arr, grad in ((X, dx), (params.theta, dth)):
+        for arr, grad in ((X, dx), (theta, dth)):
             it = np.nditer(arr, flags=["multi_index"])
             for _ in it:
                 ix = it.multi_index
@@ -171,16 +165,16 @@ class TestBackward:
         g = random_hypergraph(rng, v_max=8)
         d = 3
         X = rng.standard_normal((g.num_vertices, d))
-        params = ConvLayerParams(theta=rng.standard_normal((d, d)), use_nonlinearity=True)
+        theta = rng.standard_normal((d, d))
         d_up = rng.standard_normal((g.num_vertices, d))
-        _, _, dw = hg_conv_backward_ext(X, g, params, d_up)
+        _, _, dw = hg_conv_backward_ext(X, g, theta, True, d_up)
         weights = np.array([w for _, w in g.edges])
         h = 1e-6
         for e in range(g.num_edges):
             for sign in (1, -1):
                 w2 = weights.copy()
                 w2[e] += sign * h
-                out = hg_conv_forward(X, Hypergraph(g.num_vertices, g.members, w2), params)
+                out = hg_conv_forward(X, Hypergraph(g.num_vertices, g.members, w2), theta, True)
                 if sign == 1:
                     lp = float(np.sum(out * d_up))
                 else:
@@ -194,21 +188,20 @@ class TestStack:
         rng = np.random.default_rng(0)
         g = random_hypergraph(rng)
         X = rng.standard_normal((g.num_vertices, 3))
-        layer = ConvLayerParams(theta=rng.standard_normal((3, 3)))
-        acts = stack_forward(X, g, [layer])
-        np.testing.assert_array_equal(acts[1], hg_conv_forward(X, g, layer))
+        theta = rng.standard_normal((3, 3))
+        acts = stack_forward(X, g, [theta], [True])
+        np.testing.assert_array_equal(acts[1], hg_conv_forward(X, g, theta, True))
 
     def test_two_identity_layers_dense_oracle(self):
         g = hg(4, {0, 1}, {1, 2, 3}, {0, 3})
         M = propagation_matrix(g)
         X = np.random.default_rng(1).standard_normal((4, 2))
-        layers = [ConvLayerParams(theta=np.eye(2), use_nonlinearity=False)] * 2
-        acts = stack_forward(X, g, layers)
+        acts = stack_forward(X, g, [np.eye(2)] * 2, [False] * 2)
         np.testing.assert_allclose(acts[-1], M @ (M @ X), atol=1e-12)
 
     def test_empty_stack(self):
         X = np.ones((3, 2))
-        acts = stack_forward(X, hg(3, {0, 1}), [])
+        acts = stack_forward(X, hg(3, {0, 1}), [], [])
         assert len(acts) == 1
         np.testing.assert_array_equal(acts[0], X)
 
@@ -216,19 +209,16 @@ class TestStack:
         rng = np.random.default_rng(7)
         g = random_hypergraph(rng, v_max=6)
         X = rng.standard_normal((g.num_vertices, 3))
-        layers = [
-            ConvLayerParams(theta=rng.standard_normal((3, 3))),
-            ConvLayerParams(theta=rng.standard_normal((3, 3))),
-        ]
+        thetas = [rng.standard_normal((3, 3)), rng.standard_normal((3, 3))]
         d_up = rng.standard_normal((g.num_vertices, 3))
-        acts = stack_forward(X, g, layers)
-        dx, dths, _ = stack_backward(g, layers, acts, d_up)
+        acts = stack_forward(X, g, thetas, [True, True])
+        dx, dths, _ = stack_backward(g, thetas, [True, True], acts, d_up)
 
         def loss():
-            return float(np.sum(stack_forward(X, g, layers)[-1] * d_up))
+            return float(np.sum(stack_forward(X, g, thetas, [True, True])[-1] * d_up))
 
         h = 1e-6
-        arrays = [(X, dx)] + [(l.theta, dth) for l, dth in zip(layers, dths)]
+        arrays = [(X, dx)] + list(zip(thetas, dths))
         for arr, grad in arrays:
             it = np.nditer(arr, flags=["multi_index"])
             for _ in it:
@@ -263,11 +253,11 @@ class TestInvariants:
         g = random_hypergraph(rng)
         v = g.num_vertices
         X = rng.standard_normal((v, 4))
-        params = ConvLayerParams(theta=rng.standard_normal((4, 4)))
+        theta = rng.standard_normal((4, 4))
         perm = rng.permutation(v)
         g_perm = hypergraph(v, [(frozenset(int(perm[u]) for u in e), w) for e, w in g.edges])
-        out = hg_conv_forward(X, g, params)
-        out_perm = hg_conv_forward(X[np.argsort(perm)], g_perm, params)
+        out = hg_conv_forward(X, g, theta, True)
+        out_perm = hg_conv_forward(X[np.argsort(perm)], g_perm, theta, True)
         np.testing.assert_allclose(out_perm[perm], out, atol=1e-10)
 
     @pytest.mark.parametrize("trial", range(8))
@@ -275,9 +265,9 @@ class TestInvariants:
         rng = np.random.default_rng(80 + trial)
         g = random_hypergraph(rng)
         X = rng.standard_normal((g.num_vertices, 3))
-        params = ConvLayerParams(theta=rng.standard_normal((3, 2)), use_nonlinearity=False)
-        sparse = hg_conv_forward(X, g, params)
-        dense = propagation_matrix(g) @ X @ params.theta
+        theta = rng.standard_normal((3, 2))
+        sparse = hg_conv_forward(X, g, theta, False)
+        dense = propagation_matrix(g) @ X @ theta
         assert np.abs(sparse - dense).max() <= 1e-10
 
 
@@ -302,10 +292,10 @@ class TestOracleAgreement:
         rng = np.random.default_rng(seed)
         d_in, d_out = (int(k) for k in rng.integers(1, 5, size=2))
         X = rng.standard_normal((g.num_vertices, d_in))
-        params = ConvLayerParams(theta=rng.standard_normal((d_in, d_out)), use_nonlinearity=nonlinear)
+        theta = rng.standard_normal((d_in, d_out))
         d_up = rng.standard_normal((g.num_vertices, d_out))
-        out = hg_conv_forward(X, g, params)
-        d_x, d_theta, d_w = hg_conv_backward_ext(X, g, params, d_up)
+        out = hg_conv_forward(X, g, theta, nonlinear)
+        d_x, d_theta, d_w = hg_conv_backward_ext(X, g, theta, nonlinear, d_up)
         if d_w is None:
             assert g.num_edges == 0
             d_w = np.zeros(0)
@@ -313,8 +303,8 @@ class TestOracleAgreement:
             (conv_forward_dense, conv_backward_dense),
             (conv_forward_scatter, conv_backward_scatter),
         ):
-            np.testing.assert_allclose(out, forward(X, g, params), rtol=1e-10, atol=1e-10)
-            for got, want in zip((d_x, d_theta, d_w), backward(X, g, params, d_up)):
+            np.testing.assert_allclose(out, forward(X, g, theta, nonlinear), rtol=1e-10, atol=1e-10)
+            for got, want in zip((d_x, d_theta, d_w), backward(X, g, theta, nonlinear, d_up)):
                 np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
 
@@ -327,10 +317,10 @@ def test_paper_scale_graph_matches_scatter_oracle():
     slides = [intra_slide_edges(c, 9, index_offset=i * n) for i, c in enumerate(coords)]
     X = rng.standard_normal((3 * n, d))
     g = merge(3 * n, *slides, inter_slide_edges(X, 9))
-    identity = ConvLayerParams(theta=np.eye(d), use_nonlinearity=False)
-    PX = hg_conv_forward(X, g, identity)
+    PX = hg_conv_forward(X, g, np.eye(d), False)
     np.testing.assert_allclose(PX, propagate_scatter(g, X), rtol=1e-10, atol=1e-12)
-    params = ConvLayerParams(theta=rng.standard_normal((d, d)))
+    theta = rng.standard_normal((d, d))
     d_up = rng.standard_normal((3 * n, d))
-    for got, want in zip(hg_conv_backward_ext(X, g, params, d_up), conv_backward_scatter(X, g, params, d_up)):
+    got_all = hg_conv_backward_ext(X, g, theta, True, d_up)
+    for got, want in zip(got_all, conv_backward_scatter(X, g, theta, True, d_up)):
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgsurv.attention import AttnParams, softmax_rows
+from hgsurv.attention import softmax_rows
 from hgsurv.hyperedges import (
     cosine_similarity_matrix,
     gene_attentive_edges,
@@ -110,17 +110,17 @@ class TestAgainstBruteForce:
 class TestGeneAttentive:
     def setup_method(self):
         rng = np.random.default_rng(5)
-        self.params = AttnParams(wq=rng.standard_normal((4, 4)), wk=rng.standard_normal((4, 4)))
+        self.params = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))  # wq, wk
 
     def test_single_patch(self):
         genes = np.random.default_rng(0).standard_normal((3, 4))
-        build = gene_attentive_edges(genes, np.ones((1, 4)), self.params, 0.05)
+        build = gene_attentive_edges(genes, np.ones((1, 4)), *self.params, 0.05)
         assert edge_sets(build.edges) == [{0, 1}, {0, 2}, {0, 3}]
 
     def test_beta_one_keeps_all(self):
         rng = np.random.default_rng(1)
         build = gene_attentive_edges(
-            rng.standard_normal((2, 4)), rng.standard_normal((5, 4)), self.params, 1.0
+            rng.standard_normal((2, 4)), rng.standard_normal((5, 4)), *self.params, 1.0
         )
         assert edge_sets(build.edges) == [{0, 1, 2, 3, 4, 5}, {0, 1, 2, 3, 4, 6}]
 
@@ -128,11 +128,11 @@ class TestGeneAttentive:
         rng = np.random.default_rng(2)
         genes = rng.standard_normal((3, 4))
         patches = rng.standard_normal((20, 4))
-        build = gene_attentive_edges(genes, patches, self.params, 0.05)
+        build = gene_attentive_edges(genes, patches, *self.params, 0.05)
         # brute-force ranking oracle on the raw scores
         from hgsurv.attention import attn_scores
 
-        scores = attn_scores(genes, patches, self.params)
+        scores = attn_scores(genes, patches, *self.params)
         for w, members in enumerate(edge_sets(build.edges)):
             best = sorted(range(20), key=lambda j: (-scores[w, j], j))[0]
             assert members == {best, 20 + w}
@@ -141,7 +141,7 @@ class TestGeneAttentive:
         rng = np.random.default_rng(3)
         genes = rng.standard_normal((4, 4))
         patches = rng.standard_normal((11, 4))
-        build = gene_attentive_edges(genes, patches, self.params, 0.3)
+        build = gene_attentive_edges(genes, patches, *self.params, 0.3)
         keep = len(build.retained[0])
         for w in range(4):
             by_prob = set(sorted(range(11), key=lambda j: (-build.probs[w, j], j))[:keep])
@@ -151,19 +151,18 @@ class TestGeneAttentive:
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(4)
         build = gene_attentive_edges(
-            rng.standard_normal((2, 4)), rng.standard_normal((7, 4)), self.params, 0.5
+            rng.standard_normal((2, 4)), rng.standard_normal((7, 4)), *self.params, 0.5
         )
         np.testing.assert_allclose(build.probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_empty_gene_edge_error(self):
         with pytest.raises(ValueError, match="empty gene edge"):
-            gene_attentive_edges(np.ones((1, 4)), np.ones((3, 4)), self.params, 0.0)
+            gene_attentive_edges(np.ones((1, 4)), np.ones((3, 4)), *self.params, 0.0)
 
     def test_uniform_attention_unit_weight(self):
-        params = AttnParams(wq=np.zeros((4, 4)), wk=np.zeros((4, 4)))
         rng = np.random.default_rng(6)
         build = gene_attentive_edges(
-            rng.standard_normal((2, 4)), rng.standard_normal((8, 4)), params, 0.25
+            rng.standard_normal((2, 4)), rng.standard_normal((8, 4)), np.zeros((4, 4)), np.zeros((4, 4)), 0.25
         )
         for w in build.weights:
             assert w == pytest.approx(1.0, abs=1e-12)
@@ -248,6 +247,11 @@ def tied_slides(rng, n_slides, lam_max=10):
     return coords, feats, int(rng.integers(1, lam_max + 1))
 
 
+def assert_slide_builders_match_oracles(coords, feats, lam):
+    assert edge_sets(intra_slide_edges(coords, lam)) == [m for m, _ in oracles.intra_slide_sets(coords, lam)]
+    assert edge_sets(inter_slide_edges(feats, lam)) == [m for m, _ in oracles.inter_slide_sets(feats, lam)]
+
+
 class TestAgainstSetOracles:
     """The array builders give exactly the frozenset loops' edge lists: order, members, weights."""
 
@@ -281,6 +285,14 @@ class TestAgainstSetOracles:
             g = merge(5, *intra, inter_slide_edges(feats, lam))
             assert [(frozenset(m.tolist()), w) for m, w in g.edges] == want
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 17, 64])
+    def test_all_identical_rows(self, n):
+        """Every key of a row ties: each center keeps the lowest other indices."""
+        coords = np.full((n, 2), 3.0)
+        feats = np.tile([1.0, -2.0, 0.5], (n, 1))
+        for lam in (1, 2, 9, 20):
+            assert_slide_builders_match_oracles(coords, feats, lam)
+
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.floats(min_value=0.01, max_value=1.0))
     @settings(max_examples=60, deadline=None)
     def test_gene_attentive(self, seed, beta):
@@ -288,9 +300,9 @@ class TestAgainstSetOracles:
         n_genes, n_patches, d = (int(k) for k in rng.integers(1, 9, size=3))
         genes = rng.standard_normal((n_genes, d))
         patches = rng.integers(-1, 2, (n_patches, d)).astype(float)  # tied scores
-        params = AttnParams(wq=rng.standard_normal((d, d)), wk=rng.standard_normal((d, d)))
-        build = gene_attentive_edges(genes, patches, params, beta)
-        edges, scores, probs, retained = oracles.gene_attentive_sets(genes, patches, params, beta)
+        wq, wk = rng.standard_normal((d, d)), rng.standard_normal((d, d))
+        build = gene_attentive_edges(genes, patches, wq, wk, beta)
+        edges, scores, probs, retained = oracles.gene_attentive_sets(genes, patches, wq, wk, beta)
         assert list(zip(edge_sets(build.edges), build.weights.tolist())) == edges
         assert len(build.retained) == n_genes
         for got, want in zip(build.retained, retained):
@@ -305,3 +317,9 @@ class TestAgainstSetOracles:
         got = random_gene_edges(n_genes, n_patches, beta, np.random.default_rng(seed))
         want = oracles.random_gene_sets(n_genes, n_patches, beta, np.random.default_rng(seed))
         assert [(m, 1.0) for m in edge_sets(got)] == want
+
+
+@pytest.mark.slow
+def test_identical_rows_at_paper_scale_match_the_oracle():
+    """1024 identical patch coordinates and feature rows, the size of one paper-scale slide."""
+    assert_slide_builders_match_oracles(np.zeros((1024, 2)), np.ones((1024, 8)), 9)

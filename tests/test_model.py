@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from oracles import adam_init_per_array, adam_step_per_array
 
 from hgsurv import hyperedges, model
-from hgsurv.attention import AttnParams
 from hgsurv.datamodel import Censor, GeneGroups, PatientRecord, Slide, SlideKind, SurvivalLabel
-from hgsurv.hgcore import ConvLayerParams
 from hgsurv.membank import MemoryBank, Modality
 from hgsurv.model import (
     EdgeMode,
@@ -76,20 +74,12 @@ class TestDegenerateGraphIdentity:
         )
         rec = PatientRecord("p", slides, genes, SurvivalLabel(1.0, Censor.EVENT, 0))
         cfg = TrainConfig(lam=1, beta_fraction=1.0, bins=2, seed=1)
-        eye = np.eye(d)
-        params = ModelParams(
-            adapter_w=eye.copy(),
-            adapter_b=np.zeros(d),
-            gene_w1=[eye.copy() for _ in range(w)],
-            gene_b1=[np.zeros(d) for _ in range(w)],
-            gene_w2=[eye.copy() for _ in range(w)],
-            gene_b2=[np.zeros(d) for _ in range(w)],
-            attn=AttnParams(wq=eye.copy(), wk=eye.copy()),
-            ms_layers=[ConvLayerParams(theta=eye.copy(), use_nonlinearity=False) for _ in range(2)],
-            ga_layers=[ConvLayerParams(theta=eye.copy(), use_nonlinearity=False)],
-            head_w=np.random.default_rng(9).standard_normal((2 * d, 2)),
-            head_b=np.zeros(2),
-        )
+        params = ModelParams(d, 2, [d] * w, [False] * 2, [False])  # biases stay 0
+        for name in ["adapter_w", "attn_wq", "attn_wk", "ms0_theta", "ms1_theta", "ga0_theta"]:
+            params[name][...] = np.eye(d)
+        for w1, _, w2, _ in params.genes:
+            w1[...] = w2[...] = np.eye(d)
+        params["head_w"][...] = np.random.default_rng(9).standard_normal((2 * d, 2))
         return rec, cfg, params
 
     def test_patch_rows_collapse_and_output_depends_on_mean_only(self):
@@ -315,6 +305,32 @@ class TestEdgeCases:
         prep2 = prepare_record(cohort.patients[0], cfg)
         np.testing.assert_array_equal(prep.x_raw, prep2.x_raw)
 
+    def test_substream_only_for_subsampled_slides(self, monkeypatch):
+        cohort = generate(SynthConfig(n_patients=1, slides_per_patient=(2, 2), patches_per_slide=80, d=8,
+                                      w_groups=2, seed=1))
+        rec = cohort.patients[0]
+        small, big = rec.slides
+        small.features, small.coords = small.features[:64], small.coords[:64]  # fits n_max = 64
+        calls = []
+
+        def counted(*args, _original=model.substream):
+            calls.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(model, "substream", counted)
+        cfg = TrainConfig(lam=5, beta_fraction=0.2, bins=4, seed=2)
+        prep = prepare_record(rec, cfg)
+        assert calls == [(2, "subsample", rec.patient_id, big.slide_id)]
+        # the oversized slide keeps the rows its named substream draws
+        rng = substream(2, "subsample", rec.patient_id, big.slide_id)
+        idx = np.sort(rng.choice(80, size=64, replace=False))
+        np.testing.assert_array_equal(prep.x_raw, np.vstack([small.features, big.features[idx]]))
+        np.testing.assert_array_equal(prep.coords, np.vstack([small.coords, big.coords[idx]]))
+        calls.clear()
+        prep = prepare_record(rec, TrainConfig(lam=5, beta_fraction=0.2, bins=4, seed=2, n_max=80))
+        assert calls == []
+        np.testing.assert_array_equal(prep.x_raw, np.vstack([small.features, big.features]))
+
     def test_lambda_exceeding_patch_count_clamps(self):
         cohort = generate(SynthConfig(n_patients=2, patches_per_slide=4, slides_per_patient=(1, 1),
                                       d=8, w_groups=2, seed=3))
@@ -349,6 +365,14 @@ class TestCheckpoint:
         assert loaded_cfg == cfg
         assert meta["gene_raw_lens"] == [12, 14]
 
+    def test_non_finite_parameter_named(self, tmp_path):
+        rec, cfg, params = micro_setup()
+        params["head_b"][1] = np.nan  # written past the constructor's check, as a corrupted file would be
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, params, cfg, [12, 14])
+        with pytest.raises(ValueError, match="parameter head_b is not finite"):
+            load_checkpoint(path)
+
     def test_rejects_mismatched_dims(self, tmp_path):
         rec, cfg, params = micro_setup()
         path = tmp_path / "ckpt.npz"
@@ -368,6 +392,18 @@ def names_today(n_groups, n_ms, n_ga):
     return names + [f"ga{i}_theta" for i in range(n_ga)] + ["head_w", "head_b"]
 
 
+def two_group_values():
+    """A name -> array mapping for d=2, gene groups of raw lengths 3 and 5, two ms layers,
+    one ga layer and 3 bins; every d x d matrix holds a distinct value."""
+    square = ["adapter_w", "gene0_w2", "gene1_w2", "attn_wq", "attn_wk", "ms0_theta", "ms1_theta",
+              "ga0_theta"]
+    values = {k: np.full((2, 2), float(i)) for i, k in enumerate(square)}
+    values.update(gene0_w1=np.ones((3, 2)), gene1_w1=np.ones((5, 2)), head_w=np.ones((4, 3)))
+    for name in ["adapter_b", "gene0_b1", "gene0_b2", "gene1_b1", "gene1_b2", "head_b"]:
+        values[name] = np.zeros(3 if name == "head_b" else 2)
+    return values
+
+
 class TestFlatBuffer:
     def test_fields_are_views_of_one_buffer(self):
         for params in (micro_setup()[2], TestDegenerateGraphIdentity().build()[2]):
@@ -377,51 +413,50 @@ class TestFlatBuffer:
             assert flat.dtype == np.float64 and flat.flags.c_contiguous
             assert flat.size == sum(a.size for a in arrays.values())
             assert all(np.shares_memory(a, flat) for a in arrays.values())
-            fields = [params.adapter_w, params.adapter_b]
-            for group in zip(params.gene_w1, params.gene_b1, params.gene_w2, params.gene_b2):
+            fields = []
+            for group in params.genes:
                 fields += group
-            fields += [params.attn.wq, params.attn.wk] + [l.theta for l in params.ms_layers + params.ga_layers]
-            assert all(f is a for f, a in zip(fields + [params.head_w, params.head_b], arrays.values()))
+            fields += params.ms_thetas + params.ga_thetas
+            names = [n for n in names_today(2, 2, 1) if n.startswith(("gene", "ms", "ga"))]
+            assert all(f is arrays[n] for f, n in zip(fields, names, strict=True))
             flat[:] = np.arange(flat.size)
-            assert params.head_b[-1] == flat.size - 1 and params.adapter_w[0, 1] == 1.0
+            assert params["head_b"][-1] == flat.size - 1 and params["adapter_w"][0, 1] == 1.0
             assert params.arrays() is arrays  # cached, not rebuilt
 
     def test_constructor_copies_and_rejects_bad_shapes(self):
-        eye = np.eye(2)
-        kwargs = dict(
-            adapter_w=eye, adapter_b=np.zeros(2), gene_w1=[np.ones((3, 2))], gene_b1=[np.zeros(2)],
-            gene_w2=[eye], gene_b2=[np.zeros(2)], attn=AttnParams(wq=eye, wk=eye),
-            ms_layers=[ConvLayerParams(theta=eye, use_nonlinearity=False)], ga_layers=[],
-            head_w=np.ones((4, 2)), head_b=np.zeros(2),
-        )
-        params = ModelParams(**kwargs)
-        assert not any(np.shares_memory(params.arrays().flat, a) for a in (eye, kwargs["head_w"]))
-        assert params.ms_layers[0].use_nonlinearity is False
-        np.testing.assert_array_equal(params.gene_w1[0], np.ones((3, 2)))
+        values = two_group_values()
+        params = ModelParams(2, 3, [3, 5], [False, True], [True], values)
+        assert not any(np.shares_memory(params.flat, a) for a in values.values())
+        assert params.ms_nonlin == [False, True] and params.ga_nonlin == [True]
+        assert (params.d, params.n_bins) == (2, 3)
+        np.testing.assert_array_equal(params.genes[1][0], np.ones((5, 2)))
         with pytest.raises(ValueError, match="head_w"):
-            ModelParams(**{**kwargs, "head_w": np.ones((5, 2))})
+            ModelParams(2, 3, [3, 5], [False, True], [True], {**values, "head_w": np.ones((5, 3))})
         with pytest.raises(ValueError, match="gene0_b2"):
-            ModelParams(**{**kwargs, "gene_b2": [np.zeros(3)]})
-        with pytest.raises(ValueError, match="gene1_b1"):  # one group's bias list too long
-            ModelParams(**{**kwargs, "gene_b1": [np.zeros(2), np.zeros(2)]})
-        with pytest.raises(ValueError, match="gene0_w2"):  # one group's weight list too short
-            ModelParams(**{**kwargs, "gene_w2": []})
+            ModelParams(2, 3, [3, 5], [False, True], [True], {**values, "gene0_b2": np.zeros(3)})
+        with pytest.raises(ValueError, match="gene1_w1"):  # a raw length that does not fit
+            ModelParams(2, 3, [3, 4], [False, True], [True], values)
+        del values["gene1_b1"]
+        with pytest.raises(ValueError, match="gene1_b1"):
+            ModelParams(2, 3, [3, 5], [False, True], [True], values)
 
     def test_constructor_copies_each_array_to_its_own_name(self):
         # every d x d field gets a distinct value, so a copy by position into a reordered
         # layout would show even though all the shapes agree
-        square = {k: np.full((2, 2), float(i)) for i, k in enumerate(
-            ["adapter_w", "gene0_w2", "gene1_w2", "attn_wq", "attn_wk", "ms0_theta", "ms1_theta", "ga0_theta"])}
-        params = ModelParams(
-            adapter_w=square["adapter_w"], adapter_b=np.zeros(2),
-            gene_w1=[np.ones((3, 2)), np.ones((5, 2))], gene_b1=[np.zeros(2)] * 2,
-            gene_w2=[square["gene0_w2"], square["gene1_w2"]], gene_b2=[np.zeros(2)] * 2,
-            attn=AttnParams(wq=square["attn_wq"], wk=square["attn_wk"]),
-            ms_layers=[ConvLayerParams(square["ms0_theta"]), ConvLayerParams(square["ms1_theta"])],
-            ga_layers=[ConvLayerParams(square["ga0_theta"])], head_w=np.ones((4, 3)), head_b=np.zeros(3),
-        )
-        for name, value in square.items():
+        values = two_group_values()
+        params = ModelParams(2, 3, [3, 5], [True, True], [True], values)
+        for name, value in values.items():
             np.testing.assert_array_equal(params.arrays()[name], value, err_msg=name)
+
+    @pytest.mark.parametrize("bad, first", [(["head_b"], "head_b"), (["head_w", "gene1_w1"], "gene1_w1"),
+                                            (["ga0_theta"], "ga0_theta")])
+    def test_constructor_names_the_first_non_finite_parameter(self, bad, first):
+        values = two_group_values()
+        for name in bad:
+            values[name] = values[name].copy()
+            values[name].flat[-1] = np.nan if name != "head_w" else np.inf
+        with pytest.raises(ValueError, match=f"parameter {first} is not finite"):
+            ModelParams(2, 3, [3, 5], [True, True], [True], values)
 
     def test_zero_grads_is_one_zero_vector_apart_from_params(self):
         _, _, params = micro_setup()
@@ -547,6 +582,23 @@ class TestHookContract:
         assert calls["train_epoch"] == calls["adam_step"] == 0
 
 
+    def test_parameter_mapping_contract(self):
+        """What the benchmark's gradient check reads and writes: arrays() and backward's keys."""
+        rec, cfg, params = micro_setup()
+        arrays = params.arrays()
+        layout = model.param_layout(4, 2, SynthConfig(**MICRO_SYNTH).gene_raw_lengths(), cfg.ms_layers,
+                                    cfg.ga_layers)
+        assert [(name, a.shape) for name, a in arrays.items()] == layout
+        assert all(a.base is arrays.flat for a in arrays.values())
+        prepared = prepare_record(rec, cfg)
+        fwd = forward(prepared, params, cfg)
+        _, gl = nll_loss([fwd.output], [rec.label])
+        assert list(backward(fwd, prepared, params, cfg, gl[0])) == list(arrays)
+        for name in ("head_b", "gene1_w1", "ms0_theta", "attn_wk"):
+            before = forward(prepared, params, cfg).logits
+            arrays[name][...] += 0.5
+            assert not np.array_equal(forward(prepared, params, cfg).logits, before), name
+
     def test_graph_contract(self):
         """What the benchmark's counters read: builder lengths, edge sizes, retained indices."""
         cohort = generate(SynthConfig(n_patients=1, slides_per_patient=(2, 2), patches_per_slide=5, d=8,
@@ -591,8 +643,8 @@ class TestCheckpointV1:
         assert list(params.arrays()) == names
         for name in names:
             np.testing.assert_array_equal(params.arrays()[name], stored[name])
-        np.testing.assert_array_equal(params.gene_w1[1], stored["gene1_w1"])
-        assert [l.use_nonlinearity for l in params.ms_layers] == [True, False]
+        np.testing.assert_array_equal(params.genes[1][0], stored["gene1_w1"])
+        assert params.ms_nonlin == [True, False]
         resaved = tmp_path / "resaved.npz"
         save_checkpoint(resaved, params, cfg, raw_lens)
         with np.load(v1) as a, np.load(resaved) as b:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgsurv.datamodel import Censor, SurvivalLabel
-from hgsurv.survival import EPS, hazards_from_logits, nll_loss, risk_score
+from hgsurv.survival import EPS, hazards_from_logits, nll_loss
 
 
 def label(time, censor, b):
@@ -128,19 +128,19 @@ class TestNllLoss:
 class TestRiskScore:
     def test_all_small_hazards(self):
         out = hazards_from_logits(np.full(4, -40.0))
-        assert risk_score(out) == pytest.approx(-4.0, abs=1e-4)
+        assert out.risk == pytest.approx(-4.0, abs=1e-4)
 
     def test_all_large_hazards(self):
         out = hazards_from_logits(np.full(4, 40.0))
-        assert -1e-5 < risk_score(out) < 0.0
+        assert -1e-5 < out.risk < 0.0
 
     def test_monotone_in_each_hazard(self):
         # enumeration oracle over a logit grid
         grid = [-2.0, 0.0, 2.0]
         base = np.array([0.5, -0.5, 1.0, -1.0])
-        r0 = risk_score(hazards_from_logits(base))
+        r0 = hazards_from_logits(base).risk
         for t in range(4):
             for g in grid:
                 bumped = base.copy()
                 bumped[t] += abs(g) + 0.1
-                assert risk_score(hazards_from_logits(bumped)) > r0
+                assert hazards_from_logits(bumped).risk > r0
