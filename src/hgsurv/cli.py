@@ -234,11 +234,15 @@ def _load_fold_artifacts(ckpt_dir: str, fold: int, cohort: Cohort):
     if not os.path.exists(ckpt) or not os.path.exists(bank_path):
         raise ValidationError(f"missing checkpoint or bank for fold {fold} in {ckpt_dir}")
     try:
-        params, cfg, _ = load_checkpoint(ckpt, expect_d=cohort.d, expect_bins=cohort.n_bins)
+        params, cfg, meta = load_checkpoint(ckpt, expect_d=cohort.d, expect_bins=cohort.n_bins)
     except ValueError as exc:
         if "does not match expected" in str(exc):
             raise ValidationError(str(exc)) from exc
         raise  # corrupt artifacts are runtime failures
+    layout = cohort.gene_layout
+    if layout is not None and meta["gene_raw_lens"] != layout:
+        raise ValidationError(f"checkpoint {ckpt} has gene group lengths {meta['gene_raw_lens']} "
+                              f"but the cohort has {layout}")
     bank = MemoryBank.load(bank_path)
     if bank.d != params.d:
         raise ValidationError(f"bank {bank_path} has d={bank.d} but checkpoint {ckpt} has d={params.d}")

@@ -122,6 +122,11 @@ class Cohort:
     def n_folds(self) -> int:
         return int(self.folds.max()) + 1 if self.folds.size else 0
 
+    @property
+    def gene_layout(self) -> list[int] | None:
+        """Gene group lengths of the first patient with genes; validation holds every patient to them."""
+        return next((p.genes.raw_lengths for p in self.patients if p.genes is not None), None)
+
 
 def bin_for_time(time: float, bin_edges: np.ndarray) -> int:
     """Map a time to its bin; outer edges act as -inf/+inf."""
@@ -173,6 +178,7 @@ def validate_cohort(cohort: Cohort) -> list[str]:
         problems.append("cohort: bin_edges must be strictly increasing")
     if cohort.folds.shape[0] != len(cohort.patients):
         problems.append("cohort: folds must align with patients")
+    layout = cohort.gene_layout
     for i, p in enumerate(cohort.patients):
         if not p.has_pathology and not p.has_genes:
             problems.append(f"{p.patient_id}: empty record (no modality present)")
@@ -183,6 +189,9 @@ def validate_cohort(cohort: Cohort) -> list[str]:
                 )
             if not np.all(np.isfinite(s.features)) or not np.all(np.isfinite(s.coords)):
                 problems.append(f"{p.patient_id}: slide {s.slide_id} has non-finite entries")
+        if p.genes is not None and p.genes.raw_lengths != layout:
+            problems.append(f"{p.patient_id}: gene group lengths {p.genes.raw_lengths} != {layout} "
+                            "of the first patient with genes")
         if p.genes is not None and not np.isfinite(np.concatenate(p.genes.groups)).all():
             for name, values in zip(p.genes.group_names, p.genes.groups):
                 if not np.isfinite(values).all():

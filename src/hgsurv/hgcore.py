@@ -95,12 +95,6 @@ class Hypergraph:
         return [(row[row >= 0], float(w)) for row, w in zip(self.members, self.weights)]
 
 
-def degrees(hg: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted vertex degrees (sum of incident edge weights) and edge sizes."""
-    dv = np.bincount(hg._vidx, weights=hg.weights[hg._eidx], minlength=hg.num_vertices)
-    return dv, hg._sizes.astype(np.float64)
-
-
 def _inv_sqrt(dv: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(np.where(dv > 0, dv, np.inf))  # 0 where the degree is 0
 

@@ -8,7 +8,11 @@ Censored observations at time t stay in the risk set for events at t
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from functools import reduce
+from itertools import groupby
+from operator import add, attrgetter
 
 import numpy as np
 
@@ -26,20 +30,41 @@ class SurvPoint:
             raise ValueError("risk must be finite")
 
 
+def _times_events(points: list[SurvPoint]) -> tuple[np.ndarray, np.ndarray]:
+    t = np.array([p.time for p in points], dtype=np.float64)
+    e = np.array([p.event for p in points], dtype=bool)
+    return t, e
+
+
+def _risk_sets(t: np.ndarray, e: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per time u of ``grid``: patients still at risk (t >= u) and events at u."""
+    at_risk = t.size - np.searchsorted(np.sort(t), grid, side="left")
+    te = np.sort(t[e])
+    events = np.searchsorted(te, grid, side="right") - np.searchsorted(te, grid, side="left")
+    return at_risk, events
+
+
 def c_index(points: list[SurvPoint]) -> float:
     """Concordant fraction over pairs (i, j) with t_i < t_j and event_i.
 
-    Tied risks count 0.5. Raises when no pair is comparable.
+    Tied risks count 0.5. One sweep from the latest time down keeps the
+    risks of the strictly later patients sorted, so each event's pairs are
+    two bisections. Raises when no pair is comparable.
     """
-    t = np.array([p.time for p in points])
-    e = np.array([p.event for p in points], dtype=bool)
-    r = np.array([p.risk for p in points])
-    comparable = (t[:, None] < t[None, :]) & e[:, None]
-    n_comp = comparable.sum()
-    if n_comp == 0:
+    later: list[float] = []
+    num = den = 0  # num counts a concordant pair twice and a tied pair once
+    for _, block in groupby(sorted(points, key=attrgetter("time"), reverse=True), attrgetter("time")):
+        block = list(block)
+        for p in block:
+            if p.event:
+                lo, hi = bisect_left(later, p.risk), bisect_right(later, p.risk)
+                num += lo + hi
+                den += len(later)
+        for p in block:
+            insort(later, p.risk)
+    if den == 0:
         raise ValueError("undefined C-index: no comparable pairs")
-    concordant = (r[:, None] > r[None, :]) * 1.0 + (r[:, None] == r[None, :]) * 0.5
-    return float((concordant * comparable).sum() / n_comp)
+    return num / (2 * den)
 
 
 @dataclass
@@ -60,110 +85,38 @@ class KMCurve:
 def km_curve(points: list[SurvPoint], group: str = "") -> KMCurve:
     if not points:
         raise ValueError("at least one point required")
-    t = np.array([p.time for p in points])
-    e = np.array([p.event for p in points], dtype=bool)
-    order = np.argsort(t, kind="stable")
-    t, e = t[order], e[order]
-    times, survival, at_risk = [], [], []
-    s = 1.0
-    total = len(t)
-    n = total  # at risk
-    i = 0
-    while i < total:
-        u = t[i]
-        block = t == u
-        d = int(e[block].sum())
-        if d > 0:
-            s *= 1.0 - d / n
-            times.append(float(u))
-            survival.append(s)
-            at_risk.append(n)
-        n -= int(block.sum())
-        i += int(block.sum())
-    return KMCurve(
-        group=group,
-        times=np.asarray(times),
-        survival=np.asarray(survival),
-        at_risk=np.asarray(at_risk, dtype=np.intp),
-        n_start=len(points),
-    )
+    t, e = _times_events(points)
+    times = np.unique(t[e])
+    at_risk, d = _risk_sets(t, e, times)
+    return KMCurve(group, times, np.cumprod(1.0 - d / at_risk), at_risk, len(points))
 
 
 def logrank_test(group_a: list[SurvPoint], group_b: list[SurvPoint]) -> tuple[float, float]:
     """Mantel-Haenszel chi-square statistic and its 1-dof p-value."""
     if not group_a or not group_b:
         raise ValueError("both groups must be nonempty")
-    ta = np.array([p.time for p in group_a])
-    ea = np.array([p.event for p in group_a], dtype=bool)
-    tb = np.array([p.time for p in group_b])
-    eb = np.array([p.event for p in group_b], dtype=bool)
+    (ta, ea), (tb, eb) = _times_events(group_a), _times_events(group_b)
     event_times = np.unique(np.concatenate([ta[ea], tb[eb]]))
     if event_times.size == 0:
         raise ValueError("degenerate log-rank: no events")
-    o_minus_e = 0.0
-    var = 0.0
-    for u in event_times:
-        n_a = int((ta >= u).sum())
-        n_b = int((tb >= u).sum())
-        d_a = int((ea & (ta == u)).sum())
-        d_b = int((eb & (tb == u)).sum())
-        n = n_a + n_b
-        d = d_a + d_b
-        if n < 2 or d == 0:
-            continue
-        o_minus_e += d_a - d * n_a / n
-        var += d * (n_a / n) * (n_b / n) * (n - d) / (n - 1)
+    (n_a, d_a), (n_b, d_b) = _risk_sets(ta, ea, event_times), _risk_sets(tb, eb, event_times)
+    keep = n_a + n_b >= 2  # a lone patient at risk adds 0 and would divide by n - 1 = 0
+    n_a, n_b, d_a, d_b = n_a[keep], n_b[keep], d_a[keep], d_b[keep]
+    n, d = n_a + n_b, d_a + d_b
+    # added in time order as a loop would: np.sum is pairwise, builtin sum compensates from 3.12
+    o_minus_e = reduce(add, (d_a - d * n_a / n).tolist(), 0.0)
+    var = reduce(add, (d * (n_a / n) * (n_b / n) * (n - d) / (n - 1)).tolist(), 0.0)
     if var <= 0:
         raise ValueError("degenerate log-rank: zero variance")
     chi2 = o_minus_e**2 / var
-    return float(chi2), chi2_sf_1dof(chi2)
+    return chi2, chi2_sf_1dof(chi2)
 
 
 def chi2_sf_1dof(x: float) -> float:
-    """P(X > x) for chi-square with 1 dof: regularized upper gamma Q(1/2, x/2)."""
+    """P(X > x) for chi-square with 1 dof: Q(1/2, x/2) = erfc(sqrt(x/2))."""
     if x < 0:
         raise ValueError("chi-square statistic must be nonnegative")
-    return _gammaincc(0.5, x / 2.0)
-
-
-def _gammaincc(a: float, x: float, tol: float = 1e-12, max_iter: int = 500) -> float:
-    """Regularized upper incomplete gamma via series / continued fraction."""
-    if x == 0:
-        return 1.0
-    if x < a + 1.0:
-        # lower series, then complement
-        term = 1.0 / a
-        total = term
-        k = a
-        for _ in range(max_iter):
-            k += 1.0
-            term *= x / k
-            total += term
-            if abs(term) < abs(total) * tol:
-                break
-        p = total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-        return 1.0 - p
-    # Lentz continued fraction for the upper function
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, max_iter + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < tol:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    return math.erfc(math.sqrt(x / 2.0))
 
 
 def stratify_median(points: list[SurvPoint]) -> tuple[list[SurvPoint], list[SurvPoint]]:

@@ -598,7 +598,6 @@ def load_checkpoint(
 
 
 def cohort_gene_raw_lens(cohort: Cohort) -> list[int]:
-    for p in cohort.patients:
-        if p.genes is not None:
-            return p.genes.raw_lengths
-    raise ValueError("no patient with gene data in cohort")
+    if cohort.gene_layout is None:
+        raise ValueError("no patient with gene data in cohort")
+    return cohort.gene_layout

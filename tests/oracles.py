@@ -23,6 +23,10 @@ scalar scan over the stored rows.
 ``adam_init_per_array`` and ``adam_step_per_array`` are the Adam optimizer
 with decoupled weight decay run array by array over the named parameters,
 with per-name moment arrays.
+
+``gammaincc`` is the regularized upper incomplete gamma function Q(a, x)
+by series and continued fraction; Q(1/2, x/2) is the 1-dof chi-square
+tail that ``hgsurv.metrics.chi2_sf_1dof`` computes in closed form.
 """
 
 from __future__ import annotations
@@ -123,6 +127,12 @@ def incidence(hg: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
         for v in members:
             H[v, e] = 1.0
     return H, np.array([wt for _, wt in hg.edges], dtype=np.float64)
+
+
+def degrees(hg: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted vertex degrees (H @ w) and edge sizes (column sums of H)."""
+    H, w = incidence(hg)
+    return H @ w, H.sum(axis=0)
 
 
 def _dense_parts(hg: Hypergraph):
@@ -282,3 +292,43 @@ def adam_step_per_array(
         v_hat = v / (1 - beta2**t)
         p -= lr * weight_decay * p  # decoupled weight decay
         p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def gammaincc(a: float, x: float, tol: float = 1e-12, max_iter: int = 500) -> float:
+    """Regularized upper incomplete gamma via series / continued fraction."""
+    if x == 0:
+        return 1.0
+    if x < a + 1.0:
+        # lower series, then complement
+        term = 1.0 / a
+        total = term
+        k = a
+        for _ in range(max_iter):
+            k += 1.0
+            term *= x / k
+            total += term
+            if abs(term) < abs(total) * tol:
+                break
+        p = total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+        return 1.0 - p
+    # Lentz continued fraction for the upper function
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, max_iter + 1):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < tol:
+            break
+    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))

@@ -186,6 +186,14 @@ class TestTrain:
         expect = f"{bad.patient_id}: gene group {bad.genes.group_names[1]} has non-finite entries"
         assert expect in capsys.readouterr().err
 
+    def test_gene_layout_mismatch_is_validation_error(self, workspace, tmp_path, capsys):
+        cohort = load_cohort(str(workspace / "cohort"))
+        short = cohort.patients[3]
+        short.genes.groups[0] = short.genes.groups[0][:-1]
+        save_cohort(cohort, str(tmp_path / "short_cohort"))
+        assert run("train", "--cohort", str(tmp_path / "short_cohort"), "--out", str(tmp_path / "o"), *TRAIN) == 1
+        assert f"{short.patient_id}: gene group lengths" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
     @pytest.mark.parametrize("fusion, what", [("hga", "attention scores"), ("random", "logits"),
                                               ("concat", "logits")])
@@ -318,6 +326,18 @@ class TestEval:
                    "6", "--d", "16", "--w-groups", "2", "--folds", "3") == 0
         assert run("eval", "--cohort", str(other), "--ckpt-dir", str(workspace / "train"),
                    "--out", str(tmp_path / "o")) == 1
+
+    @pytest.mark.parametrize("missing", ["none", "gene"])
+    def test_gene_layout_mismatch_rejected(self, workspace, tmp_path, capsys, missing):
+        other = tmp_path / "cohort3"
+        assert run("generate", "--out", str(other), "--seed", "3", "--n", "16", "--patches",
+                   "6", "--d", "8", "--w-groups", "3", "--folds", "3") == 0
+        lens = load_cohort(str(other)).patients[0].genes.raw_lengths
+        assert run("eval", "--cohort", str(other), "--ckpt-dir", str(workspace / "train"),
+                   "--out", str(tmp_path / "o"), "--missing", missing) == 1
+        err = capsys.readouterr().err
+        trained = load_checkpoint(str(workspace / "train" / "fold_0.npz"))[2]["gene_raw_lens"]
+        assert f"gene group lengths {trained} but the cohort has {lens}" in err
 
     def test_bank_width_mismatch_rejected(self, workspace, tmp_path, capsys):
         import shutil

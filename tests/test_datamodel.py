@@ -116,6 +116,14 @@ class TestValidateCohort:
         cohort.patients[0].label.bin = 1
         assert any("inconsistent" in p for p in validate_cohort(cohort))
 
+    def test_gene_layout_mismatch_names_patient(self):
+        cohort = tiny_cohort()
+        genes = cohort.patients[1].genes
+        genes.groups[1] = genes.groups[1][:-1]
+        assert validate_cohort(cohort) == [
+            "p1: gene group lengths [5, 6] != [5, 7] of the first patient with genes"
+        ]
+
 
 class TestTypes:
     def test_slide_requires_patches(self):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from hgsurv.hgcore import (
     Hypergraph,
-    degrees,
     hg_conv_backward_ext,
     hg_conv_forward,
     stack_backward,
@@ -17,6 +16,7 @@ from oracles import (
     conv_backward_scatter,
     conv_forward_dense,
     conv_forward_scatter,
+    degrees,
     hypergraph,
     incidence,
     propagate_scatter,

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import gammaincc
 
 from hgsurv.metrics import (
     SurvPoint,
@@ -183,13 +185,89 @@ class TestLogrank:
 
 class TestChiSquarePValue:
     def test_matches_erfc_identity(self):
-        # Q(1/2, x/2) == erfc(sqrt(x/2)) for the 1-dof chi-square
+        # erfc(sqrt(x/2)) == Q(1/2, x/2), the series / continued-fraction oracle
         for x in [0.0, 0.1, 0.5, 1.0, 2.0, 3.841, 6.635, 10.83, 25.0, 60.0]:
-            assert chi2_sf_1dof(x) == pytest.approx(math.erfc(math.sqrt(x / 2)), rel=1e-10)
+            assert chi2_sf_1dof(x) == pytest.approx(gammaincc(0.5, x / 2), rel=1e-10)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             chi2_sf_1dof(-1.0)
+
+
+def km_oracle(points):
+    """Product-limit by hand: at each distinct event time, the share of those at risk who survive it."""
+    times, survival, at_risk = [], [], []
+    s = 1.0
+    for u in sorted({float(p.time) for p in points if p.event}):
+        n = sum(1 for p in points if p.time >= u)
+        d = sum(1 for p in points if p.event and p.time == u)
+        s *= 1.0 - d / n
+        times.append(u)
+        survival.append(s)
+        at_risk.append(n)
+    return times, survival, at_risk
+
+
+tie_heavy = st.lists(
+    st.tuples(st.integers(0, 6), st.booleans(), st.integers(-3, 3)), min_size=2, max_size=40
+)
+
+
+class TestAgainstOracles:
+    """Tie-heavy small-integer data: many equal times, equal risks and censored-at-event-time rows."""
+
+    @given(tie_heavy, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_c_index_km_and_logrank(self, rows, data):
+        points = pts(*[(float(t), e, float(r)) for t, e, r in rows])
+        try:
+            got = c_index(points)
+        except ValueError:
+            with pytest.raises(ZeroDivisionError):
+                c_index_oracle(points)
+        else:
+            assert got == c_index_oracle(points)
+
+        km = km_curve(points)
+        times, survival, at_risk = km_oracle(points)
+        assert km.times.tolist() == times
+        assert km.survival.tolist() == survival
+        assert km.at_risk.tolist() == at_risk
+
+        k = data.draw(st.integers(1, len(points) - 1))
+        a, b = points[:k], points[k:]
+        try:
+            chi2, p = logrank_test(a, b)
+        except ValueError:
+            with pytest.raises(ZeroDivisionError):
+                logrank_oracle(a, b)
+        else:
+            assert chi2 == pytest.approx(logrank_oracle(a, b), rel=1e-12, abs=1e-12)
+            assert p == pytest.approx(gammaincc(0.5, chi2 / 2), rel=1e-10)
+
+
+def test_c_index_at_cohort_scale_needs_no_pair_matrix():
+    n, block = 5000, 500
+    rng = np.random.default_rng(5000)
+    t = rng.integers(0, 300, n).astype(float)
+    e = rng.random(n) < 0.6
+    r = rng.integers(-40, 40, n).astype(float)
+    points = pts(*zip(t.tolist(), e.tolist(), r.tolist()))
+    tracemalloc.start()
+    try:
+        got = c_index(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    # the pair count, a block of rows at a time: concordant pairs count 2, tied risks 1
+    num = den = 0
+    for lo in range(0, n, block):
+        comparable = (t[lo : lo + block, None] < t[None, :]) & e[lo : lo + block, None]
+        ri = r[lo : lo + block, None]
+        num += 2 * int((comparable & (ri > r[None, :])).sum()) + int((comparable & (ri == r[None, :])).sum())
+        den += int(comparable.sum())
+    assert got == num / (2 * den)
 
 
 class TestStratify:
