@@ -257,6 +257,16 @@ def save_cohort(cohort: Cohort, out_dir: str) -> None:
         fh.write("\n")
 
 
+def _floats(fields: list[str], path: str, lineno: int, width: int | None = None) -> list[float]:
+    """One line's fields as floats; a wrong field count or a non-number fails naming the file and line."""
+    if width is not None and len(fields) != width:
+        raise ValueError(f"{path} line {lineno}: expected {width} fields, got {len(fields)}")
+    try:
+        return [float(v) for v in fields]
+    except ValueError as exc:
+        raise ValueError(f"{path} line {lineno}: {exc}") from None
+
+
 def load_cohort(in_dir: str) -> Cohort:
     manifest_path = os.path.join(in_dir, "cohort.json")
     if not os.path.exists(manifest_path):
@@ -276,8 +286,12 @@ def load_cohort(in_dir: str) -> Cohort:
             if len(parts) != 3:
                 raise ValueError(f"survival.csv line {lineno}: expected 3 fields")
             pid, time_s, event_s = parts
-            censor = Censor.EVENT if int(event_s) == 1 else Censor.CENSORED
-            labels[pid] = (float(time_s), censor)
+            if event_s not in ("0", "1"):
+                raise ValueError(f"survival.csv line {lineno}: event flag {event_s!r} is not 0 or 1")
+            if pid in labels:
+                raise ValueError(f"survival.csv line {lineno}: patient {pid} listed twice")
+            time = _floats([time_s], "survival.csv", lineno)[0]
+            labels[pid] = (time, Censor.EVENT if event_s == "1" else Censor.CENSORED)
 
     patients = []
     folds = []
@@ -293,10 +307,9 @@ def load_cohort(in_dir: str) -> Cohort:
                 header = fh.readline().strip().split(",")
                 if header[:2] != ["x", "y"] or len(header) != d + 2:
                     raise ValueError(f"{path}: malformed patch table header")
-                rows = [line.strip().split(",") for line in fh if line.strip()]
-            arr = np.array([[float(v) for v in r] for r in rows], dtype=np.float64)
-            if arr.ndim != 2 or arr.shape[1] != d + 2:
-                raise ValueError(f"{path}: patch rows must have {d + 2} fields")
+                rows = [_floats(line.strip().split(","), path, lineno, d + 2)
+                        for lineno, line in enumerate(fh, start=2) if line.strip()]
+            arr = np.array(rows, dtype=np.float64).reshape(len(rows), d + 2)
             slides.append(
                 Slide(
                     slide_id=sinfo["slide_id"],
@@ -308,13 +321,14 @@ def load_cohort(in_dir: str) -> Cohort:
         genes = None
         if entry.get("genes_file"):
             names, groups = [], []
-            with open(os.path.join(in_dir, entry["genes_file"])) as fh:
-                for line in fh:
+            path = os.path.join(in_dir, entry["genes_file"])
+            with open(path) as fh:
+                for lineno, line in enumerate(fh, start=1):
                     if not line.strip():
                         continue
                     parts = line.strip().split(",")
                     names.append(parts[0])
-                    groups.append(np.array([float(v) for v in parts[1:]], dtype=np.float64))
+                    groups.append(np.array(_floats(parts[1:], path, lineno), dtype=np.float64))
             genes = GeneGroups(groups=groups, group_names=names)
         label = SurvivalLabel(time=time, censor=censor, bin=bin_for_time(time, bin_edges))
         patients.append(PatientRecord(patient_id=pid, slides=slides, genes=genes, label=label))

@@ -77,10 +77,6 @@ class KMCurve:
     at_risk: np.ndarray
     n_start: int
 
-    def survival_at(self, t: float) -> float:
-        idx = np.searchsorted(self.times, t, side="right")
-        return 1.0 if idx == 0 else float(self.survival[idx - 1])
-
 
 def km_curve(points: list[SurvPoint], group: str = "") -> KMCurve:
     if not points:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .attention import attn_scores_backward, softmax_rows_backward
 from .datamodel import Censor, Cohort, PatientRecord
-from .hgcore import Hypergraph, leaky, leaky_grad, stack_backward, stack_forward
+from .hgcore import GeneGraph, Hypergraph, leaky, leaky_grad, stack_backward, stack_forward
 from .hyperedges import (
     GeneEdgeBuild,
     gene_attentive_edges,
@@ -255,7 +255,7 @@ class ForwardResult:
     gene_hidden: list[np.ndarray] | None
     genes_enc: np.ndarray
     gene_build: GeneEdgeBuild | None
-    hg_ga: Hypergraph | None
+    hg_ga: GeneGraph | None
     acts_ga: list[np.ndarray] | None
     n_patches: int
     n_groups: int
@@ -327,10 +327,10 @@ def forward(
         if cfg.fusion_mode is FusionMode.HYPERGRAPH_ATTN:
             gene_build = gene_attentive_edges(genes_enc, ph, params["attn_wq"], params["attn_wk"],
                                               cfg.beta_fraction)
-            hg_ga = Hypergraph(n + w_eff, gene_build.edges, gene_build.weights)
+            hg_ga = GeneGraph(n + w_eff, gene_build.edges, gene_build.weights)
         else:  # each edge holds its own gene vertex, so no two coincide and no merge is needed
             rng = substream(cfg.seed, "random-edges", record.patient_id)
-            hg_ga = Hypergraph(n + w_eff, random_gene_edges(w_eff, n, cfg.beta_fraction, rng))
+            hg_ga = GeneGraph(n + w_eff, random_gene_edges(w_eff, n, cfg.beta_fraction, rng), np.ones(w_eff))
         acts_ga = stack_forward(np.vstack([ph, genes_enc]), hg_ga, params.ga_thetas, params.ga_nonlin)
         pooled_p = acts_ga[-1][:n].mean(axis=0)
         pooled_g = acts_ga[-1][n:].mean(axis=0)
@@ -414,15 +414,13 @@ def backward(
         d_xg_out = np.vstack(
             [np.tile(d_pooled_p / n, (n, 1)), np.tile(d_pooled_g / w_eff, (w_eff, 1))]
         )
-        want_w = cfg.fusion_mode is FusionMode.HYPERGRAPH_ATTN
-        d_xg_in, d_thetas, d_w = stack_backward(
-            fwd.hg_ga, params.ga_thetas, params.ga_nonlin, fwd.acts_ga, d_xg_out, want_weight_grad=want_w
-        )
+        d_xg_in, d_thetas, d_w = stack_backward(fwd.hg_ga, params.ga_thetas, params.ga_nonlin, fwd.acts_ga,
+                                                d_xg_out)
         for g, dt in zip(grads.ga_thetas, d_thetas):
             g[:] = dt
         d_ph += d_xg_in[:n]
         d_genes_enc += d_xg_in[n:]
-        if want_w:
+        if cfg.fusion_mode is FusionMode.HYPERGRAPH_ATTN:
             build = fwd.gene_build
             d_probs = np.zeros_like(build.probs)
             np.put_along_axis(d_probs, build.retained, (d_w * n / build.retained.shape[1])[:, None], axis=1)

@@ -4,7 +4,7 @@ hypergraph convolution and the memory bank's retrieval.
 The ``*_sets`` builders are the per-center loops over frozenset edges that
 ``hgsurv.hyperedges`` vectorizes: each returns a list of (frozenset of
 vertex ids, weight) pairs, in the order the vectorized builder emits rows.
-``hypergraph(v, pairs)`` turns such a list into a ``Hypergraph``.
+``hypergraph(v, pairs)`` turns such a list into a weighted ``GeneGraph``.
 
 Two convolution oracles, independent of each other and of ``hgsurv.hgcore``'s
 cached operator:
@@ -12,7 +12,11 @@ cached operator:
 - dense: P realized from explicit diagonal matrices, and the edge-weight
   gradient from the Jacobian dP/dw_e written out per edge;
 - scatter: P @ X and the edge-weight gradient computed edge by edge with
-  ``np.add.at`` gathers and scatters over the index arrays.
+  ``np.add.at`` gathers and scatters over index arrays read from the
+  graph's public ``edges``.
+
+Both take either graph type; for a unit-weight ``Hypergraph`` every weight
+is 1.
 
 Each ``conv_backward_*`` returns (dL/dX, dL/dTheta, dL/dweights) of
 ``sum(hg_conv_forward(X, hg, theta, nonlin) * d_out)``.
@@ -36,16 +40,20 @@ import math
 import numpy as np
 
 from hgsurv.attention import attn_scores, softmax_rows
-from hgsurv.hgcore import Hypergraph, leaky, leaky_grad
+from hgsurv.hgcore import GeneGraph, leaky, leaky_grad
 from hgsurv.hyperedges import cosine_similarity_matrix
 
 
-def hypergraph(num_vertices: int, pairs) -> Hypergraph:
-    """Hypergraph from (vertex-id set, weight) pairs, rows padded with -1."""
-    width = max((len(m) for m, _ in pairs), default=1)
-    rows = [sorted(int(v) for v in m) for m, _ in pairs]
-    members = np.array([[-1] * (width - len(r)) + r for r in rows], dtype=np.intp).reshape(len(rows), width)
-    return Hypergraph(num_vertices, members, [w for _, w in pairs])
+def member_rows(sets) -> np.ndarray:
+    """Member rows of vertex-id sets, padded with -1."""
+    width = max((len(m) for m in sets), default=1)
+    rows = [sorted(int(v) for v in m) for m in sets]
+    return np.array([[-1] * (width - len(r)) + r for r in rows], dtype=np.intp).reshape(len(rows), width)
+
+
+def hypergraph(num_vertices: int, pairs) -> GeneGraph:
+    """Weighted GeneGraph from (vertex-id set, weight) pairs."""
+    return GeneGraph(num_vertices, member_rows([m for m, _ in pairs]), [w for _, w in pairs])
 
 
 def _nearest_by_key(keys: np.ndarray, n_pick: int) -> np.ndarray:
@@ -120,7 +128,7 @@ def merge_sets(*edge_lists):
     return list(seen.items())
 
 
-def incidence(hg: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
+def incidence(hg) -> tuple[np.ndarray, np.ndarray]:
     """Binary V x E incidence matrix, from the edges property, and the weight vector."""
     H = np.zeros((hg.num_vertices, hg.num_edges))
     for e, (members, _) in enumerate(hg.edges):
@@ -129,13 +137,13 @@ def incidence(hg: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     return H, np.array([wt for _, wt in hg.edges], dtype=np.float64)
 
 
-def degrees(hg: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
+def degrees(hg) -> tuple[np.ndarray, np.ndarray]:
     """Weighted vertex degrees (H @ w) and edge sizes (column sums of H)."""
     H, w = incidence(hg)
     return H @ w, H.sum(axis=0)
 
 
-def _dense_parts(hg: Hypergraph):
+def _dense_parts(hg):
     H, w = incidence(hg)
     de = H.sum(axis=0)
     dv = H @ w
@@ -143,7 +151,7 @@ def _dense_parts(hg: Hypergraph):
     return H, w, de, dv, r
 
 
-def propagation_matrix(hg: Hypergraph) -> np.ndarray:
+def propagation_matrix(hg) -> np.ndarray:
     """Dense V x V realization of P = Dv^-1/2 H W De^-1 H^T Dv^-1/2."""
     if hg.num_edges == 0:
         return np.zeros((hg.num_vertices, hg.num_vertices))
@@ -159,11 +167,11 @@ def _pre_grad(pre, nonlin: bool, d_out):
     return d_out * leaky_grad(pre) if nonlin else d_out
 
 
-def conv_forward_dense(X, hg: Hypergraph, theta, nonlin: bool) -> np.ndarray:
+def conv_forward_dense(X, hg, theta, nonlin: bool) -> np.ndarray:
     return _activate(propagation_matrix(hg) @ X @ theta, nonlin)
 
 
-def conv_backward_dense(X, hg: Hypergraph, theta, nonlin: bool, d_out):
+def conv_backward_dense(X, hg, theta, nonlin: bool, d_out):
     M = propagation_matrix(hg)
     g = _pre_grad(M @ X @ theta, nonlin, d_out)
     d_theta = (M @ X).T @ g
@@ -185,36 +193,47 @@ def conv_backward_dense(X, hg: Hypergraph, theta, nonlin: bool, d_out):
     return d_x, d_theta, d_w
 
 
-def _degrees_scatter(hg: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
+def _index_arrays(hg):
+    """Edge-major vertex ids, edge ids, edge sizes and weights, read from the public edges."""
+    pairs = hg.edges
+    vidx = np.array([int(v) for members, _ in pairs for v in members], dtype=np.intp)
+    eidx = np.array([e for e, (members, _) in enumerate(pairs) for _ in members], dtype=np.intp)
+    sizes = np.array([len(members) for members, _ in pairs], dtype=np.float64)
+    return vidx, eidx, sizes, np.array([w for _, w in pairs], dtype=np.float64)
+
+
+def _degrees_scatter(hg) -> tuple[np.ndarray, np.ndarray]:
     """Weighted vertex degrees and their inverse square roots (0 where the degree is 0)."""
+    vidx, eidx, _, weights = _index_arrays(hg)
     dv = np.zeros(hg.num_vertices)
     if hg.num_edges:
-        np.add.at(dv, hg._vidx, hg.weights[hg._eidx])
+        np.add.at(dv, vidx, weights[eidx])
     r = np.zeros_like(dv)
     pos = dv > 0
     r[pos] = 1.0 / np.sqrt(dv[pos])
     return dv, r
 
 
-def propagate_scatter(hg: Hypergraph, X: np.ndarray) -> np.ndarray:
+def propagate_scatter(hg, X: np.ndarray) -> np.ndarray:
     """P @ X via edge-wise gather/scatter."""
     if hg.num_edges == 0:
         return np.zeros_like(X, dtype=np.float64)
+    vidx, eidx, sizes, weights = _index_arrays(hg)
     _, r = _degrees_scatter(hg)
     Y = X * r[:, None]
     S = np.zeros((hg.num_edges, X.shape[1]))
-    np.add.at(S, hg._eidx, Y[hg._vidx])
-    M = S * (hg.weights / hg._sizes)[:, None]
+    np.add.at(S, eidx, Y[vidx])
+    M = S * (weights / sizes)[:, None]
     Z = np.zeros_like(Y)
-    np.add.at(Z, hg._vidx, M[hg._eidx])
+    np.add.at(Z, vidx, M[eidx])
     return Z * r[:, None]
 
 
-def conv_forward_scatter(X, hg: Hypergraph, theta, nonlin: bool) -> np.ndarray:
+def conv_forward_scatter(X, hg, theta, nonlin: bool) -> np.ndarray:
     return _activate(propagate_scatter(hg, X) @ theta, nonlin)
 
 
-def conv_backward_scatter(X, hg: Hypergraph, theta, nonlin: bool, d_out):
+def conv_backward_scatter(X, hg, theta, nonlin: bool, d_out):
     PX = propagate_scatter(hg, X)
     g = _pre_grad(PX @ theta, nonlin, d_out)
     d_theta = PX.T @ g
@@ -223,27 +242,28 @@ def conv_backward_scatter(X, hg: Hypergraph, theta, nonlin: bool, d_out):
     if hg.num_edges == 0:
         return d_x, d_theta, np.zeros(0)
 
+    vidx, eidx, sizes, weights = _index_arrays(hg)
     dv, r = _degrees_scatter(hg)
     Y = X * r[:, None]
     S = np.zeros((hg.num_edges, X.shape[1]))
-    np.add.at(S, hg._eidx, Y[hg._vidx])
-    M = S * (hg.weights / hg._sizes)[:, None]
+    np.add.at(S, eidx, Y[vidx])
+    M = S * (weights / sizes)[:, None]
     Z = np.zeros_like(Y)
-    np.add.at(Z, hg._vidx, M[hg._eidx])
+    np.add.at(Z, vidx, M[eidx])
 
     RdU = d_px * r[:, None]
     Q = np.zeros((hg.num_edges, X.shape[1]))
-    np.add.at(Q, hg._eidx, RdU[hg._vidx])
-    d_w = np.einsum("ef,ef->e", Q, S / hg._sizes[:, None])
+    np.add.at(Q, eidx, RdU[vidx])
+    d_w = np.einsum("ef,ef->e", Q, S / sizes[:, None])
 
-    M2 = Q * (hg.weights / hg._sizes)[:, None]
+    M2 = Q * (weights / sizes)[:, None]
     HtRdU = np.zeros_like(Y)
-    np.add.at(HtRdU, hg._vidx, M2[hg._eidx])
+    np.add.at(HtRdU, vidx, M2[eidx])
     d_r = np.einsum("vf,vf->v", d_px, Z) + np.einsum("vf,vf->v", HtRdU, X)
     dr_ddv = np.zeros_like(dv)
     pos = dv > 0
     dr_ddv[pos] = -0.5 * dv[pos] ** -1.5
-    np.add.at(d_w, hg._eidx, (d_r * dr_ddv)[hg._vidx])
+    np.add.at(d_w, eidx, (d_r * dr_ddv)[vidx])
     return d_x, d_theta, d_w
 
 

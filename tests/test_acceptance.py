@@ -129,7 +129,7 @@ def test_criterion_1_gradient_correctness():
         X = rng.standard_normal((v, 4))
         theta = rng.standard_normal((4, 3))
         d_up = rng.standard_normal((v, 3))
-        dx, dth, _ = hg_conv_backward_ext(X, g, theta, True, d_up, want_weight_grad=False)
+        dx, dth, _ = hg_conv_backward_ext(X, g, theta, True, hg_conv_forward(X, g, theta, True), d_up)
         loss = lambda: float(np.sum(hg_conv_forward(X, g, theta, True) * d_up))
         _check_grid(X, dx, loss, 1e-4)
         _check_grid(theta, dth, loss, 1e-4)

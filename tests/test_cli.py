@@ -186,6 +186,21 @@ class TestTrain:
         expect = f"{bad.patient_id}: gene group {bad.genes.group_names[1]} has non-finite entries"
         assert expect in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, duplicate", [("2", False), ("-1", False), ("0", True)])
+    def test_bad_survival_row_is_validation_error(self, workspace, tmp_path, capsys, flag, duplicate):
+        save_cohort(load_cohort(str(workspace / "cohort")), str(tmp_path / "bad"))
+        path = tmp_path / "bad" / "survival.csv"
+        lines = path.read_text().splitlines()
+        pid, time, _ = lines[1].split(",")
+        if duplicate:
+            lines.insert(2, f"{pid},{time},{flag}")
+        else:
+            lines[1] = f"{pid},{time},{flag}"
+        path.write_text("\n".join(lines) + "\n")
+        assert run("train", "--cohort", str(tmp_path / "bad"), "--out", str(tmp_path / "o"), *TRAIN) == 1
+        expect = f"patient {pid} listed twice" if duplicate else f"event flag '{flag}' is not 0 or 1"
+        assert f"survival.csv line {3 if duplicate else 2}: {expect}" in capsys.readouterr().err
+
     def test_gene_layout_mismatch_is_validation_error(self, workspace, tmp_path, capsys):
         cohort = load_cohort(str(workspace / "cohort"))
         short = cohort.patients[3]

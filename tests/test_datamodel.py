@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,4 +173,43 @@ class TestRoundTrip:
         save_cohort(cohort, tmp_path / "c")
         (tmp_path / "c" / "survival.csv").write_text("bogus\n")
         with pytest.raises(ValueError, match="header"):
+            load_cohort(tmp_path / "c")
+
+
+def replace_line(lineno, text):
+    return lambda lines: lines[: lineno - 1] + [text] + lines[lineno:]
+
+
+def drop_last_field(lineno):
+    return lambda lines: replace_line(lineno, lines[lineno - 1].rsplit(",", 1)[0])(lines)
+
+
+def set_field(lineno, col, value):
+    def edit(lines):
+        fields = lines[lineno - 1].split(",")
+        fields[col] = value
+        return replace_line(lineno, ",".join(fields))(lines)
+
+    return edit
+
+
+class TestLoadErrors:
+    """Bad cohort files fail naming the file and line; tiny_cohort's survival.csv reads
+    header, p0,1.0,1 and p1,3.0,0."""
+
+    @pytest.mark.parametrize("rel, edit, message", [
+        ("survival.csv", replace_line(2, "p0,1.0,2"), "survival.csv line 2: event flag '2' is not 0 or 1"),
+        ("survival.csv", replace_line(3, "p1,3.0,-1"), "survival.csv line 3: event flag '-1' is not 0 or 1"),
+        ("survival.csv", lambda lines: lines + ["p0,5.0,0"], "survival.csv line 4: patient p0 listed twice"),
+        ("survival.csv", replace_line(2, "p0,abc,1"), "survival.csv line 2: could not convert string to float"),
+        ("patches/s0.csv", set_field(3, 2, "abc"), "s0.csv line 3: could not convert string to float"),
+        ("patches/s0.csv", drop_last_field(3), "s0.csv line 3: expected 6 fields, got 5"),
+        ("genes/p1.csv", set_field(2, 1, "abc"), "p1.csv line 2: could not convert string to float"),
+    ], ids=["event-2", "event-minus-1", "duplicate-patient", "survival-time", "patch-value", "short-patch-row",
+            "gene-value"])
+    def test_names_file_and_line(self, tmp_path, rel, edit, message):
+        save_cohort(tiny_cohort(), tmp_path / "c")
+        path = tmp_path / "c" / rel
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_cohort(tmp_path / "c")

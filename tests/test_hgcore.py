@@ -1,9 +1,13 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hgsurv.hgcore import (
+    GeneGraph,
     Hypergraph,
     hg_conv_backward_ext,
     hg_conv_forward,
@@ -19,6 +23,7 @@ from oracles import (
     degrees,
     hypergraph,
     incidence,
+    member_rows,
     propagate_scatter,
     propagation_matrix,
 )
@@ -56,13 +61,16 @@ class TestIncidence:
             hg(2, {0}, weights=[0.0])
 
     def test_member_rows(self):
-        g = Hypergraph(4, np.array([[3, 1], [-1, 2]]), [1.0, 2.5])
+        g = Hypergraph(4, np.array([[3, 1], [-1, 2]]))
         np.testing.assert_array_equal(g.members, [[1, 3], [-1, 2]])  # rows sorted, pads first
+        assert [(m.tolist(), w) for m, w in g.edges] == [([1, 3], 1.0), ([2], 1.0)]
+        g = GeneGraph(4, np.array([[3, 1], [-1, 2]]), [1.0, 2.5])
         assert [(m.tolist(), w) for m, w in g.edges] == [([1, 3], 1.0), ([2], 2.5)]
-        with pytest.raises(ValueError, match="repeated"):
-            Hypergraph(3, np.array([[1, 1]]))
-        with pytest.raises(ValueError, match="out of range"):
-            Hypergraph(3, np.array([[-2, 1]]))
+        for make in (Hypergraph, lambda v, m: GeneGraph(v, m, [1.0])):
+            with pytest.raises(ValueError, match="repeated"):
+                make(3, np.array([[1, 1]]))
+            with pytest.raises(ValueError, match="out of range"):
+                make(3, np.array([[-2, 1]]))
 
 
 class TestDegrees:
@@ -122,14 +130,17 @@ class TestBackward:
         g = hg(3, {0, 1}, {1, 2})
         X = np.ones((3, 2))
         theta = np.ones((2, 2))
-        dx, dth, _ = hg_conv_backward_ext(X, g, theta, True, np.zeros((3, 2)), want_weight_grad=False)
+        out = hg_conv_forward(X, g, theta, True)
+        dx, dth, _ = hg_conv_backward_ext(X, g, theta, True, out, np.zeros((3, 2)))
         np.testing.assert_array_equal(dx, 0)
         np.testing.assert_array_equal(dth, 0)
 
     def test_self_edge_identity_map(self):
         X = np.array([[0.3, 0.7]])
         d_out = np.array([[1.0, -2.0]])
-        dx, _, _ = hg_conv_backward_ext(X, hg(1, {0}), np.eye(2), False, d_out, want_weight_grad=False)
+        g = hg(1, {0})
+        out = hg_conv_forward(X, g, np.eye(2), False)
+        dx, _, _ = hg_conv_backward_ext(X, g, np.eye(2), False, out, d_out)
         np.testing.assert_allclose(dx, d_out)
 
     @pytest.mark.parametrize("trial", range(6))
@@ -144,7 +155,7 @@ class TestBackward:
         def loss():
             return float(np.sum(hg_conv_forward(X, g, theta, True) * d_up))
 
-        dx, dth, _ = hg_conv_backward_ext(X, g, theta, True, d_up, want_weight_grad=False)
+        dx, dth, _ = hg_conv_backward_ext(X, g, theta, True, hg_conv_forward(X, g, theta, True), d_up)
         h = 1e-6
         for arr, grad in ((X, dx), (theta, dth)):
             it = np.nditer(arr, flags=["multi_index"])
@@ -167,14 +178,14 @@ class TestBackward:
         X = rng.standard_normal((g.num_vertices, d))
         theta = rng.standard_normal((d, d))
         d_up = rng.standard_normal((g.num_vertices, d))
-        _, _, dw = hg_conv_backward_ext(X, g, theta, True, d_up)
-        weights = np.array([w for _, w in g.edges])
+        _, _, dw = hg_conv_backward_ext(X, g, theta, True, hg_conv_forward(X, g, theta, True), d_up)
+        members, weights = [m for m, _ in g.edges], np.array([w for _, w in g.edges])
         h = 1e-6
         for e in range(g.num_edges):
             for sign in (1, -1):
                 w2 = weights.copy()
                 w2[e] += sign * h
-                out = hg_conv_forward(X, Hypergraph(g.num_vertices, g.members, w2), theta, True)
+                out = hg_conv_forward(X, hypergraph(g.num_vertices, list(zip(members, w2))), theta, True)
                 if sign == 1:
                     lp = float(np.sum(out * d_up))
                 else:
@@ -295,10 +306,7 @@ class TestOracleAgreement:
         theta = rng.standard_normal((d_in, d_out))
         d_up = rng.standard_normal((g.num_vertices, d_out))
         out = hg_conv_forward(X, g, theta, nonlinear)
-        d_x, d_theta, d_w = hg_conv_backward_ext(X, g, theta, nonlinear, d_up)
-        if d_w is None:
-            assert g.num_edges == 0
-            d_w = np.zeros(0)
+        d_x, d_theta, d_w = hg_conv_backward_ext(X, g, theta, nonlinear, out, d_up)
         for forward, backward in (
             (conv_forward_dense, conv_backward_dense),
             (conv_forward_scatter, conv_backward_scatter),
@@ -306,6 +314,82 @@ class TestOracleAgreement:
             np.testing.assert_allclose(out, forward(X, g, theta, nonlinear), rtol=1e-10, atol=1e-10)
             for got, want in zip((d_x, d_theta, d_w), backward(X, g, theta, nonlinear, d_up)):
                 np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+
+    @given(hypergraphs(), st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+    @example(hypergraph(4, []), 0, True)  # edgeless
+    @settings(max_examples=60, deadline=None)
+    def test_unit_weight_hypergraph_matches_both_oracles(self, weighted, seed, nonlinear):
+        """The same graphs with every weight 1, built as the slide graph's type; it has no weight gradient."""
+        g = Hypergraph(weighted.num_vertices, member_rows([m for m, _ in weighted.edges]))
+        rng = np.random.default_rng(seed)
+        d_in, d_out = (int(k) for k in rng.integers(1, 5, size=2))
+        X = rng.standard_normal((g.num_vertices, d_in))
+        theta = rng.standard_normal((d_in, d_out))
+        d_up = rng.standard_normal((g.num_vertices, d_out))
+        out = hg_conv_forward(X, g, theta, nonlinear)
+        d_x, d_theta, d_w = hg_conv_backward_ext(X, g, theta, nonlinear, out, d_up)
+        assert d_w is None
+        for forward, backward in (
+            (conv_forward_dense, conv_backward_dense),
+            (conv_forward_scatter, conv_backward_scatter),
+        ):
+            np.testing.assert_allclose(out, forward(X, g, theta, nonlinear), rtol=1e-10, atol=1e-10)
+            for got, want in zip((d_x, d_theta), backward(X, g, theta, nonlinear, d_up)):
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+
+
+@st.composite
+def gene_graphs(draw):
+    """Gene-shaped graphs: per gene group, an edge of 1..n patches plus the group's own vertex n + w,
+    with all weights tied or all distinct."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    n_genes = draw(st.integers(min_value=1, max_value=6))
+    keep = draw(st.integers(min_value=1, max_value=n))
+    rows = [draw(st.permutations(range(n)))[:keep] + [n + w] for w in range(n_genes)]
+    weight = st.floats(min_value=0.1, max_value=5.0)
+    if draw(st.booleans()):
+        weights = [draw(weight)] * n_genes
+    else:
+        weights = draw(st.lists(weight, min_size=n_genes, max_size=n_genes, unique=True))
+    return GeneGraph(n + n_genes, np.array(rows), weights)
+
+
+@given(gene_graphs(), st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_gene_graph_matches_dense_oracle(g, seed, nonlinear):
+    rng = np.random.default_rng(seed)
+    d_in, d_out = (int(k) for k in rng.integers(1, 5, size=2))
+    X = rng.standard_normal((g.num_vertices, d_in))
+    theta = rng.standard_normal((d_in, d_out))
+    d_up = rng.standard_normal((g.num_vertices, d_out))
+    out = hg_conv_forward(X, g, theta, nonlinear)
+    np.testing.assert_allclose(out, conv_forward_dense(X, g, theta, nonlinear), rtol=1e-10, atol=1e-10)
+    got = hg_conv_backward_ext(X, g, theta, nonlinear, out, d_up)
+    for got_part, want in zip(got, conv_backward_dense(X, g, theta, nonlinear, d_up)):
+        np.testing.assert_allclose(got_part, want, rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.slow
+def test_gene_graph_at_paper_scale_needs_no_vertex_square():
+    """Three slides of 1024 patches plus 6 gene vertices: building the gene graph and one layer's
+    forward and backward stay under 10 MB traced, where a V x V operator alone is 75 MB."""
+    rng = np.random.default_rng(5)
+    n, n_genes, d = 3072, 6, 16
+    keep = math.ceil(0.05 * n)
+    rows = np.array([np.append(np.sort(rng.choice(n, keep, replace=False)), n + w) for w in range(n_genes)])
+    X = rng.standard_normal((n + n_genes, d))
+    theta, d_up = rng.standard_normal((d, d)), rng.standard_normal((n + n_genes, d))
+    tracemalloc.start()
+    try:
+        g = GeneGraph(n + n_genes, rows, rng.uniform(0.5, 2.0, n_genes))
+        out = hg_conv_forward(X, g, theta, True)
+        d_x, d_theta, d_w = hg_conv_backward_ext(X, g, theta, True, out, d_up)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+    assert d_w.shape == (n_genes,) and np.isfinite(d_w).all()
+    np.testing.assert_allclose(out, conv_forward_scatter(X, g, theta, True), rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.slow
@@ -321,6 +405,7 @@ def test_paper_scale_graph_matches_scatter_oracle():
     np.testing.assert_allclose(PX, propagate_scatter(g, X), rtol=1e-10, atol=1e-12)
     theta = rng.standard_normal((d, d))
     d_up = rng.standard_normal((3 * n, d))
-    got_all = hg_conv_backward_ext(X, g, theta, True, d_up)
-    for got, want in zip(got_all, conv_backward_scatter(X, g, theta, True, d_up)):
+    d_x, d_theta, d_w = hg_conv_backward_ext(X, g, theta, True, hg_conv_forward(X, g, theta, True), d_up)
+    assert d_w is None  # unit weights: the slide graph has no weight gradient
+    for got, want in zip((d_x, d_theta), conv_backward_scatter(X, g, theta, True, d_up)):
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)

@@ -22,6 +22,12 @@ def pts(*triples):
     return [SurvPoint(time=t, event=e, risk=r) for t, e, r in triples]
 
 
+def survival_at(km, t: float) -> float:
+    """The step function's value at time t: 1 before the first event time."""
+    idx = np.searchsorted(km.times, t, side="right")
+    return 1.0 if idx == 0 else float(km.survival[idx - 1])
+
+
 def c_index_oracle(points):
     """Exhaustive pair enumeration, plain python loops."""
     num = den = 0.0
@@ -99,7 +105,7 @@ class TestKaplanMeier:
     def test_all_censored(self):
         km = km_curve(pts((1, False, 0), (2, False, 0)))
         assert km.times.size == 0
-        assert km.survival_at(100.0) == 1.0
+        assert survival_at(km, 100.0) == 1.0
 
     def test_four_distinct_events(self):
         km = km_curve(pts((1, True, 0), (2, True, 0), (3, True, 0), (4, True, 0)))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import adam_init_per_array, adam_step_per_array
 
-from hgsurv import hyperedges, model
+from hgsurv import hgcore, hyperedges, model
 from hgsurv.datamodel import Censor, GeneGroups, PatientRecord, Slide, SlideKind, SurvivalLabel
 from hgsurv.membank import MemoryBank, Modality
 from hgsurv.model import (
@@ -262,6 +262,24 @@ class TestTraining:
         cfg = TrainConfig(lr=5e-3, epochs=2, lam=3, beta_fraction=0.5, bins=4, seed=6)
         result = train_fold(cohort.patients, 8, cohort_gene_raw_lens(cohort), cfg)
         assert result.epoch_losses[1] <= result.epoch_losses[0]
+
+    @pytest.mark.parametrize("fusion", [FusionMode.HYPERGRAPH_ATTN, FusionMode.RANDOM_EDGES])
+    def test_training_step_propagates_once_per_layer_and_pass(self, monkeypatch, fusion):
+        """Two slide-graph layers and one gene-graph layer: forward and backward each propagate once
+        per layer, 6 in all, of which 4 are the slide graph's."""
+        cohort = generate(SynthConfig(n_patients=1, patches_per_slide=4, d=8, w_groups=2, seed=4))
+        cfg = TrainConfig(lr=1e-3, epochs=1, lam=3, beta_fraction=0.5, bins=4, seed=6, fusion_mode=fusion)
+        params = init_params(8, 4, cohort_gene_raw_lens(cohort), cfg, substream(6, "init"))
+        prepared = [prepare_record(r, cfg) for r in cohort.patients]
+        calls = {hgcore.Hypergraph: 0, hgcore.GeneGraph: 0}
+        for cls in calls:
+            def counted(graph, X, _cls=cls, _original=cls.propagate):
+                calls[_cls] += 1
+                return _original(graph, X)
+
+            monkeypatch.setattr(cls, "propagate", counted)
+        train_epoch(prepared, params, adam_init(params), cfg, MemoryBank(d=8), 0)
+        assert calls == {hgcore.Hypergraph: 4, hgcore.GeneGraph: 2}
 
     def test_incomplete_training_record_rejected(self):
         cohort = generate(SynthConfig(n_patients=2, patches_per_slide=4, d=8, w_groups=2, seed=4))
@@ -610,12 +628,12 @@ class TestHookContract:
         assert len(hyperedges.intra_slide_edges(slide.coords, cfg.lam)) == slide.n_patches
         assert len(hyperedges.inter_slide_edges(slide.features, cfg.lam)) == slide.n_patches
         fwd = forward(prepare_record(rec, cfg), params, cfg)
-        for hg in (fwd.hg_ms, fwd.hg_ga):
+        build = fwd.gene_build
+        for hg, rows in ((fwd.hg_ms, fwd.hg_ms.members), (fwd.hg_ga, build.edges)):
             pairs = hg.edges
             assert len(pairs) == hg.num_edges
-            assert sum(len(members) for members, _ in pairs) == np.count_nonzero(hg.members >= 0)
+            assert sum(len(members) for members, _ in pairs) == np.count_nonzero(rows >= 0)
             assert all(isinstance(w, float) for _, w in pairs)
-        build = fwd.gene_build
         assert len(build.edges) == fwd.n_groups == len(list(build.retained))
         keep = math.ceil(cfg.beta_fraction * fwd.n_patches)
         for w, idx in enumerate(build.retained):
