@@ -276,6 +276,7 @@ def load_cohort(in_dir: str) -> Cohort:
     d = int(manifest["d"])
     bin_edges = np.asarray(manifest["bin_edges"], dtype=np.float64)
 
+    listed = {entry["patient_id"] for entry in manifest["patients"]}
     labels: dict[str, tuple[float, Censor]] = {}
     with open(os.path.join(in_dir, "survival.csv")) as fh:
         header = fh.readline()
@@ -290,7 +291,11 @@ def load_cohort(in_dir: str) -> Cohort:
                 raise ValueError(f"survival.csv line {lineno}: event flag {event_s!r} is not 0 or 1")
             if pid in labels:
                 raise ValueError(f"survival.csv line {lineno}: patient {pid} listed twice")
+            if pid not in listed:
+                raise ValueError(f"survival.csv line {lineno}: patient {pid} is not in cohort.json")
             time = _floats([time_s], "survival.csv", lineno)[0]
+            if not 0.0 <= time < np.inf:  # NaN fails too
+                raise ValueError(f"survival.csv line {lineno}: time {time_s!r} is negative or not finite")
             labels[pid] = (time, Censor.EVENT if event_s == "1" else Censor.CENSORED)
 
     patients = []

@@ -42,33 +42,33 @@ def _inv_sqrt(dv: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(np.where(dv > 0, dv, np.inf))  # 0 where the degree is 0
 
 
-def _member_index(num_vertices: int, members) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Member rows (E x k, padded with -1) sorted with pads first, and their edge-major
-    (edge id, vertex id) arrays; rejects out-of-range ids, empty edges and repeated members."""
+def _sorted_rows(num_vertices: int, members) -> np.ndarray:
+    """Member rows (E x k, padded with -1), each sorted with its pads first; rejects out-of-range
+    ids, empty edges and repeated members."""
     if num_vertices < 0:
         raise ValueError("num_vertices must be nonnegative")
-    m = np.sort(np.asarray(members, dtype=np.intp), axis=1)
-    valid = m >= 0
-    if m.size and (m.min() < -1 or m.max() >= num_vertices):
+    m = np.sort(np.asarray(members, dtype=np.intp, order="C"), axis=1)  # C order: a row views as bytes
+    if m.size and (m[:, 0].min() < -1 or m[:, -1].max() >= num_vertices):
         raise ValueError(f"vertex id out of range [0, {num_vertices}) in member rows")
-    if not valid.any(axis=1).all():
+    if np.count_nonzero(m[:, -1:] >= 0) < len(m):  # an empty row ends in a pad
         raise ValueError("empty hyperedge")
     same = m[:, 1:] == m[:, :-1]
-    if same.any() and (same & valid[:, 1:]).any():  # pads may repeat, members may not
+    if same.any() and (same & (m[:, 1:] >= 0)).any():  # pads may repeat, members may not
         raise ValueError("vertex repeated within a hyperedge")
-    eidx, col = valid.nonzero()
-    return m, eidx, m[eidx, col]
+    return m
 
 
 class Hypergraph:
-    """Unit-weight hypergraph: vertex count plus edges as integer member rows. Row e of
-    ``members`` (E x k) holds the vertex ids of edge e, sorted, padded first with -1."""
+    """Unit-weight hypergraph: vertex count plus edges as integer member rows. Row e of ``members``
+    (E x k) holds edge e's vertex ids, sorted, padded first with -1; an edge given twice is kept once."""
 
     def __init__(self, num_vertices: int, members):
-        self.num_vertices = num_vertices
-        self.members, _, vidx = _member_index(num_vertices, members)
+        m = _sorted_rows(num_vertices, members)
+        rows = m.view(np.dtype((np.void, m.itemsize * m.shape[1]))).ravel()  # one byte string per row
+        first = np.unique(rows, return_index=True)[1]  # by a stable sort: each distinct row's first copy
+        self.num_vertices, self.members = num_vertices, m[np.sort(first)]
         # r = Dv^{-1/2} from the vertex degrees, with a trailing 0 that a pad (-1) reads
-        self._r = _inv_sqrt(np.bincount(vidx, minlength=num_vertices + 1))
+        self._r = _inv_sqrt(np.bincount(self.members[self.members >= 0], minlength=num_vertices + 1))
         self._P: np.ndarray | None = None  # propagation operator, built by propagate
 
     @property
@@ -86,9 +86,9 @@ class Hypergraph:
         if self._P is None:
             V, m = self.num_vertices, np.maximum(self.members, 0)
             rm = self._r[self.members]  # E x k, 0 at the pads
-            inv_size = 1.0 / (self.members >= 0).sum(axis=1)
-            vals = rm[:, :, None] * rm[:, None, :] * inv_size[:, None, None]
-            pairs = m[:, :, None] * V + m[:, None, :]
+            vals = np.einsum("ei,ej->eij", rm, rm)
+            vals *= 1.0 / (self.members >= 0).sum(axis=1)[:, None, None]
+            pairs = (m * V)[:, :, None] + m[:, None, :]
             self._P = np.bincount(pairs.ravel(), vals.ravel(), minlength=V * V).reshape(V, V)
         return self._P @ X
 
@@ -98,7 +98,8 @@ class GeneGraph:
     rows as for ``Hypergraph``, padded with -1; ``weights`` holds one positive weight per edge."""
 
     def __init__(self, num_vertices: int, members, weights):
-        _, eidx, vidx = _member_index(num_vertices, members)
+        m = _sorted_rows(num_vertices, members)
+        eidx, col = (m >= 0).nonzero()
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (len(members),):
             raise ValueError("one weight per edge required")
@@ -106,7 +107,7 @@ class GeneGraph:
             raise ValueError(f"non-positive edge weight {w[~(w > 0)][0]}")
         self.num_vertices, self.weights = num_vertices, w
         self.H = np.zeros((num_vertices, len(w)))
-        self.H[vidx, eidx] = 1.0
+        self.H[m[eidx, col], eidx] = 1.0
         self._sizes = self.H.sum(axis=0)
         self._c = (w / self._sizes)[:, None]
         self._r = _inv_sqrt(self.H @ w)[:, None]

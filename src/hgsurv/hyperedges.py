@@ -5,7 +5,8 @@ Every builder emits one edge per center vertex containing the center and
 its lambda-1 neighbors (rank-based realization of the distance/similarity
 thresholds). Ties are broken toward the lowest vertex index so edge lists
 are fully deterministic. Edges are integer member rows, one row per edge,
-built for all centers in one array pass.
+built for all centers in one array pass; a slide builder's rows list vertex
+ids in ascending order. ``merge`` hands their union to ``Hypergraph``.
 """
 
 from __future__ import annotations
@@ -20,31 +21,31 @@ from .hgcore import Hypergraph
 
 
 def _center_edges(keys: np.ndarray, lam: int) -> np.ndarray:
-    """Member rows [center, its lam-1 smallest-key others, smallest first] for an N x N key
-    matrix; the center's own key is excluded, and equal keys resolve to the lowest index.
+    """Member rows for an N x N key matrix, one per center: row c holds c and the min(lam, N) - 1
+    others of smallest key in row c, equal keys going to the lowest column, in ascending order.
 
-    The candidates are every key up to the row's (lam-1)-th smallest. A row
-    with more keys tied with that one than it needs keeps, counted in column
-    order, only the ties it needs, so every row has exactly lam-1 candidates;
-    a stable sort by (row, key) then keeps equal keys in column order.
+    The center's own key becomes -inf (the diagonal is overwritten), so it is
+    always taken. The candidates are every key up to the row's min(lam, N)-th
+    smallest; a row with more keys tied with that one than it needs keeps,
+    counted in column order, only the ties it needs.
     """
     n = keys.shape[0]
-    n_pick = min(lam, n) - 1
-    keys.flat[:: n + 1] = np.inf  # self excluded, re-added as the first column
-    picked = np.empty((n, 0), dtype=np.intp)
-    if n_pick > 0:
-        kth = np.partition(keys, n_pick - 1, axis=1)[:, n_pick - 1 : n_pick]
-        take = keys <= kth
-        tied_rows = np.flatnonzero(take.sum(axis=1) > n_pick)
-        if tied_rows.size:
-            sub, k = keys[tied_rows], kth[tied_rows]
-            below, tied = sub < k, sub == k
-            need = n_pick - below.sum(axis=1, keepdims=True)
-            take[tied_rows] = below | (tied & (np.cumsum(tied, axis=1) <= need))
-        row, col = np.nonzero(take)
-        order = np.lexsort((keys[row, col], row))  # row is sorted already, so row[order] == row
-        picked = col[order].reshape(n, n_pick)
-    return np.concatenate((np.arange(n)[:, None], picked), axis=1)
+    k = min(lam, n)
+    keys.flat[:: n + 1] = -np.inf
+    kth = np.partition(keys, k - 1, axis=1)[:, k - 1 : k]
+    take = keys <= kth
+    if np.count_nonzero(take) > n * k:  # ties to cut; a row without any keeps what it took
+        below, tied = keys < kth, keys == kth
+        take = below | (tied & (np.cumsum(tied, axis=1) <= k - below.sum(axis=1, keepdims=True)))
+    return np.flatnonzero(take).reshape(n, k) % n  # flat index -> column
+
+
+def pairwise_distances(coords: np.ndarray) -> np.ndarray:
+    """N x N distances between 2-D points: bit for bit np.linalg.norm over their N x N x 2 differences."""
+    x, y = np.asarray(coords, dtype=np.float64).T
+    dist = np.square(x[:, None] - x)
+    dist += np.square(y[:, None] - y)
+    return np.sqrt(dist, out=dist)
 
 
 def intra_slide_edges(coords: np.ndarray, lam: int, index_offset: int = 0) -> np.ndarray:
@@ -53,32 +54,28 @@ def intra_slide_edges(coords: np.ndarray, lam: int, index_offset: int = 0) -> np
     coords: N x 2 patch coordinates. Vertex ids are index_offset + row id,
     letting callers stack several slides into one vertex space.
     """
-    coords = np.asarray(coords, dtype=np.float64)
-    if coords.shape[0] < 1:
+    if len(coords) < 1:
         raise ValueError("slide must contain at least one patch")
-    dists = np.linalg.norm(coords[:, None] - coords[None, :], axis=2)
-    return _center_edges(dists, lam) + index_offset
+    return _center_edges(pairwise_distances(coords), lam) + index_offset
 
 
 def cosine_similarity_matrix(feats: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarities; rows with zero norm score 0 against everything."""
     feats = np.asarray(feats, dtype=np.float64)
     norms = np.linalg.norm(feats, axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
-    unit = feats / safe[:, None]
+    unit = feats / np.where(norms > 0, norms, 1.0)[:, None]
     sims = unit @ unit.T
     zero = norms == 0
-    sims[zero, :] = 0.0
-    sims[:, zero] = 0.0
+    sims[zero, :] = sims[:, zero] = 0.0
     return sims
 
 
 def inter_slide_edges(feats: np.ndarray, lam: int) -> np.ndarray:
     """One feature-similarity edge per patch over the pooled multi-slide patch set."""
-    feats = np.asarray(feats, dtype=np.float64)
-    if feats.shape[0] < 1:
+    if len(feats) < 1:
         raise ValueError("at least one patch required")
-    return _center_edges(-cosine_similarity_matrix(feats), lam)
+    sims = cosine_similarity_matrix(feats)
+    return _center_edges(np.negative(sims, out=sims), lam)
 
 
 @dataclass
@@ -143,13 +140,10 @@ def random_gene_edges(
 
 
 def merge(num_vertices: int, *edge_lists: np.ndarray) -> Hypergraph:
-    """Union of unit-weight member-row lists; set-identical edges are kept once,
-    at their first occurrence, so edge order is that of the inputs."""
+    """Union of unit-weight member-row lists as one Hypergraph; set-identical edges are kept
+    once, at their first occurrence, so edge order is that of the inputs."""
     rows = np.full((sum(len(m) for m in edge_lists), max(m.shape[1] for m in edge_lists)), -1)
     start = 0
-    for m in edge_lists:  # pads first, as in a sorted row
-        rows[start : (start := start + len(m)), rows.shape[1] - m.shape[1] :] = np.sort(m, axis=1)
-    order = np.lexsort(rows.T[::-1])  # stable: equal rows keep their input order
-    srt = rows[order]
-    first = np.concatenate(([True], (srt[1:] != srt[:-1]).any(axis=1)))
-    return Hypergraph(num_vertices, rows[np.sort(order[first])])
+    for m in edge_lists:  # a narrower list's pads follow its members until Hypergraph sorts the rows
+        rows[start : (start := start + len(m)), : m.shape[1]] = m
+    return Hypergraph(num_vertices, rows)

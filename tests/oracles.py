@@ -5,6 +5,8 @@ The ``*_sets`` builders are the per-center loops over frozenset edges that
 ``hgsurv.hyperedges`` vectorizes: each returns a list of (frozenset of
 vertex ids, weight) pairs, in the order the vectorized builder emits rows.
 ``hypergraph(v, pairs)`` turns such a list into a weighted ``GeneGraph``.
+``pairwise_distances`` is the intra-slide distance matrix as one
+``np.linalg.norm`` over the N x N x 2 pair differences.
 
 Two convolution oracles, independent of each other and of ``hgsurv.hgcore``'s
 cached operator:
@@ -59,6 +61,12 @@ def hypergraph(num_vertices: int, pairs) -> GeneGraph:
 def _nearest_by_key(keys: np.ndarray, n_pick: int) -> np.ndarray:
     """Indices of the n_pick smallest keys; equal keys resolved by lowest index."""
     return np.argsort(keys, kind="stable")[:n_pick]
+
+
+def pairwise_distances(coords) -> np.ndarray:
+    """Euclidean distances between every pair of rows, reduced over their N x N x d differences."""
+    coords = np.asarray(coords, dtype=np.float64)
+    return np.linalg.norm(coords[:, None] - coords[None, :], axis=2)
 
 
 def intra_slide_sets(coords, lam: int, index_offset: int = 0):

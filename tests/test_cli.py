@@ -201,6 +201,24 @@ class TestTrain:
         expect = f"patient {pid} listed twice" if duplicate else f"event flag '{flag}' is not 0 or 1"
         assert f"survival.csv line {3 if duplicate else 2}: {expect}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("time, unlisted", [("-1.0", False), ("nan", False), ("2.0", True)])
+    def test_bad_survival_label_is_validation_error(self, workspace, tmp_path, capsys, time, unlisted):
+        save_cohort(load_cohort(str(workspace / "cohort")), str(tmp_path / "bad"))
+        path = tmp_path / "bad" / "survival.csv"
+        lines = path.read_text().splitlines()
+        pid, _, event = lines[1].split(",")
+        if unlisted:
+            lines.append(f"p_unlisted,{time},{event}")
+        else:
+            lines[1] = f"{pid},{time},{event}"
+        path.write_text("\n".join(lines) + "\n")
+        assert run("train", "--cohort", str(tmp_path / "bad"), "--out", str(tmp_path / "o"), *TRAIN) == 1
+        if unlisted:
+            expect = f"survival.csv line {len(lines)}: patient p_unlisted is not in cohort.json"
+        else:
+            expect = f"survival.csv line 2: time '{time}' is negative or not finite"
+        assert expect in capsys.readouterr().err
+
     def test_gene_layout_mismatch_is_validation_error(self, workspace, tmp_path, capsys):
         cohort = load_cohort(str(workspace / "cohort"))
         short = cohort.patients[3]

@@ -202,11 +202,14 @@ class TestLoadErrors:
         ("survival.csv", replace_line(3, "p1,3.0,-1"), "survival.csv line 3: event flag '-1' is not 0 or 1"),
         ("survival.csv", lambda lines: lines + ["p0,5.0,0"], "survival.csv line 4: patient p0 listed twice"),
         ("survival.csv", replace_line(2, "p0,abc,1"), "survival.csv line 2: could not convert string to float"),
+        ("survival.csv", replace_line(2, "p0,-1.0,1"), "survival.csv line 2: time '-1.0' is negative or not finite"),
+        ("survival.csv", replace_line(3, "p1,nan,0"), "survival.csv line 3: time 'nan' is negative or not finite"),
+        ("survival.csv", lambda lines: lines + ["p9,2.0,1"], "survival.csv line 4: patient p9 is not in cohort.json"),
         ("patches/s0.csv", set_field(3, 2, "abc"), "s0.csv line 3: could not convert string to float"),
         ("patches/s0.csv", drop_last_field(3), "s0.csv line 3: expected 6 fields, got 5"),
         ("genes/p1.csv", set_field(2, 1, "abc"), "p1.csv line 2: could not convert string to float"),
-    ], ids=["event-2", "event-minus-1", "duplicate-patient", "survival-time", "patch-value", "short-patch-row",
-            "gene-value"])
+    ], ids=["event-2", "event-minus-1", "duplicate-patient", "survival-time", "negative-time", "nan-time",
+            "unlisted-patient", "patch-value", "short-patch-row", "gene-value"])
     def test_names_file_and_line(self, tmp_path, rel, edit, message):
         save_cohort(tiny_cohort(), tmp_path / "c")
         path = tmp_path / "c" / rel

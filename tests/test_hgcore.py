@@ -63,6 +63,7 @@ class TestIncidence:
     def test_member_rows(self):
         g = Hypergraph(4, np.array([[3, 1], [-1, 2]]))
         np.testing.assert_array_equal(g.members, [[1, 3], [-1, 2]])  # rows sorted, pads first
+        np.testing.assert_array_equal(Hypergraph(4, np.asfortranarray([[3, 1], [-1, 2]])).members, g.members)
         assert [(m.tolist(), w) for m, w in g.edges] == [([1, 3], 1.0), ([2], 1.0)]
         g = GeneGraph(4, np.array([[3, 1], [-1, 2]]), [1.0, 2.5])
         assert [(m.tolist(), w) for m, w in g.edges] == [([1, 3], 1.0), ([2], 2.5)]

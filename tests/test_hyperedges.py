@@ -10,8 +10,10 @@ from hgsurv.hyperedges import (
     inter_slide_edges,
     intra_slide_edges,
     merge,
+    pairwise_distances,
     random_gene_edges,
 )
+from hgsurv.model import EdgeMode, build_multislide_graph
 import oracles
 
 
@@ -44,6 +46,14 @@ class TestIntraSlide:
     def test_index_offset(self):
         coords = np.array([[0.0, 0], [1, 0]])
         assert edge_sets(intra_slide_edges(coords, 2, index_offset=10)) == [{10, 11}, {11, 10}]
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=40),
+       st.integers(min_value=-3, max_value=6))
+@settings(max_examples=60, deadline=None)
+def test_pairwise_distances_equal_the_norm_bit_for_bit(seed, n, scale):
+    coords = np.random.default_rng(seed).uniform(-1, 1, (n, 2)) * 10.0**scale
+    assert pairwise_distances(coords).tobytes() == oracles.pairwise_distances(coords).tobytes()
 
 
 class TestInterSlide:
@@ -94,7 +104,7 @@ class TestAgainstBruteForce:
         n = int(rng.integers(2, 60))
         lam = int(rng.integers(1, 12))
         coords = rng.uniform(0, 100, size=(n, 2))
-        dists = np.linalg.norm(coords[:, None] - coords[None, :], axis=2)
+        dists = oracles.pairwise_distances(coords)
         assert edge_sets(intra_slide_edges(coords, lam)) == brute_force_knn(dists, lam)
 
     @pytest.mark.parametrize("trial", range(10))
@@ -274,6 +284,22 @@ class TestAgainstSetOracles:
             want = oracles.merge_sets(*intra_sets, inter_sets)
             assert [(frozenset(m.tolist()), w) for m, w in g.edges] == want
 
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=3))
+    @settings(max_examples=60, deadline=None)
+    def test_multislide_graph_is_the_oracle_merge(self, seed, n_slides):
+        """build_multislide_graph gives the oracle union edge for edge, in order, under every EdgeMode."""
+        rng = np.random.default_rng(seed)
+        coords, feats, drawn = tied_slides(rng, n_slides)
+        offsets = np.cumsum([0] + [len(c) for c in coords])
+        for lam in (1, drawn, 20):
+            intra = [oracles.intra_slide_sets(c, lam, index_offset=o) for c, o in zip(coords, offsets)]
+            inter = oracles.inter_slide_sets(feats, lam)
+            lists = {EdgeMode.INTRA_ONLY: intra, EdgeMode.INTER_ONLY: [inter], EdgeMode.BOTH: [*intra, inter]}
+            for mode in EdgeMode:
+                g = build_multislide_graph(feats, coords, lam, mode)
+                assert g.num_vertices == len(feats)
+                assert [(frozenset(m.tolist()), w) for m, w in g.edges] == oracles.merge_sets(*lists[mode])
+
     def test_duplicated_feature_rows_within_and_across_slides(self):
         coords = [np.zeros((3, 2)), np.array([[0.0, 0], [1, 1]])]
         feats = np.array([[1.0, 0], [1, 0], [0, 1], [1, 0], [0, 1]])
@@ -323,3 +349,17 @@ class TestAgainstSetOracles:
 def test_identical_rows_at_paper_scale_match_the_oracle():
     """1024 identical patch coordinates and feature rows, the size of one paper-scale slide."""
     assert_slide_builders_match_oracles(np.zeros((1024, 2)), np.ones((1024, 8)), 9)
+
+
+@pytest.mark.slow
+def test_jittered_grid_graph_at_paper_scale_is_the_oracle_merge():
+    """Three slides of 1024 patches, each a 32 x 32 grid of 100-unit cells jittered by up to 30."""
+    rng = np.random.default_rng(43)
+    side = 100.0 * np.arange(32)
+    grid = np.stack(np.meshgrid(side, side), axis=-1).reshape(-1, 2)
+    coords = [grid + rng.uniform(-30, 30, grid.shape) for _ in range(3)]
+    feats = rng.standard_normal((3 * 1024, 8))
+    g = build_multislide_graph(feats, coords, 9, EdgeMode.BOTH)
+    intra = [oracles.intra_slide_sets(c, 9, index_offset=1024 * i) for i, c in enumerate(coords)]
+    want = oracles.merge_sets(*intra, oracles.inter_slide_sets(feats, 9))
+    assert [(frozenset(m.tolist()), w) for m, w in g.edges] == want
