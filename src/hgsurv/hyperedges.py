@@ -60,9 +60,19 @@ def intra_slide_edges(coords: np.ndarray, lam: int, index_offset: int = 0) -> np
 
 
 def cosine_similarity_matrix(feats: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarities; rows with zero norm score 0 against everything."""
+    """Pairwise cosine similarities; rows with zero norm score 0 against everything.
+
+    A nonzero row whose norm underflows to 0 or overflows to inf is divided by
+    its largest magnitude before its norm is taken; every other row is used as given.
+    """
     feats = np.asarray(feats, dtype=np.float64)
-    norms = np.linalg.norm(feats, axis=1)
+    with np.errstate(over="ignore"):  # an overflowed norm is rescaled below
+        norms = np.linalg.norm(feats, axis=1)
+    lost = ((norms == 0) | (norms == np.inf)) & feats.any(axis=1)
+    if lost.any():
+        feats = feats.copy()
+        feats[lost] /= np.abs(feats[lost]).max(axis=1, keepdims=True)
+        norms[lost] = np.linalg.norm(feats[lost], axis=1)
     unit = feats / np.where(norms > 0, norms, 1.0)[:, None]
     sims = unit @ unit.T
     zero = norms == 0

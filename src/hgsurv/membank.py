@@ -14,7 +14,13 @@ in one float64 buffer that doubles when full. Non-finite input is rejected.
 File format: header `d=<int> theta=<real> mu=<int>`, then one line per
 entry `key_id p0 ... p{d-1} g0 ... g{d-1}` in decimal text; floats are
 repr()'d so a round-trip is bit-exact. Each key appears once; `load`
-rejects a repeated key rather than momentum-blending it.
+rejects a repeated key rather than momentum-blending it. `load` parses the
+file in one streaming pass: each line is split once and its field count and
+key are checked without converting anything, and the numeric fields of all
+lines go through one np.fromiter(map(float, ...)) and one np.isfinite, so
+only one line's fields are held as strings at a time. Only a failed
+conversion or a non-finite value re-scans the lines, to name the first bad
+one.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -116,22 +123,37 @@ class MemoryBank:
             raise ValueError(f"{path} line 1: malformed header {lines[0]!r}")
         d = int(head["d"])
         bank = cls(d=d, theta=float(head["theta"]), mu=int(head.get("mu", 1)))
-        rows = []
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 1 + 2 * d:
-                raise ValueError(f"{path} line {lineno}: expected {1 + 2 * d} fields, got {len(parts)}")
-            if parts[0] in bank._index:
-                raise ValueError(f"{path} line {lineno}: duplicate key {parts[0]!r}")
-            try:
-                rows.append([float(v) for v in parts[1:]])
-            except ValueError as exc:
-                raise ValueError(f"{path} line {lineno}: {exc}") from None
-            if not all(map(math.isfinite, rows[-1])):
-                raise ValueError(f"{path} line {lineno}: non-finite value")
-            bank._index[parts[0]] = len(bank.key_ids)
-            bank.key_ids.append(parts[0])
-        bank._buf = np.array(rows, dtype=np.float64).reshape(-1, 2, d).transpose(1, 0, 2).copy()
+        error = None
+
+        def numeric_fields():  # each line's fields after its key, up to the first malformed line
+            nonlocal error
+            for lineno, line in enumerate(lines[1:], start=2):
+                if not (parts := line.split()):
+                    continue
+                if len(parts) != 1 + 2 * d:
+                    error = f"{path} line {lineno}: expected {1 + 2 * d} fields, got {len(parts)}"
+                    return
+                if parts[0] in bank._index:
+                    error = f"{path} line {lineno}: duplicate key {parts[0]!r}"
+                    return
+                bank._index[parts[0]] = len(bank._index)
+                yield parts[1:]
+
+        try:
+            values = np.fromiter(map(float, chain.from_iterable(numeric_fields())), dtype=np.float64)
+        except ValueError:
+            values = None
+        # a bad value: re-scan to name its line, which comes before any malformed one's
+        if values is None or not np.isfinite(values).all():
+            for lineno, line in enumerate(lines[1:], start=2):
+                try:
+                    row = [float(v) for v in line.split()[1:]]
+                except ValueError as exc:
+                    raise ValueError(f"{path} line {lineno}: {exc}") from None
+                if not all(map(math.isfinite, row)):
+                    raise ValueError(f"{path} line {lineno}: non-finite value")
+        if error is not None:
+            raise ValueError(error)
+        bank.key_ids = list(bank._index)
+        bank._buf = values.reshape(-1, 2, d).transpose(1, 0, 2).copy()
         return bank

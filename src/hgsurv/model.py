@@ -132,14 +132,20 @@ class FlatViews(dict):
 
 class ModelParams(FlatViews):
     """The parameters, each stack's per-layer nonlinearity flags and the one gradient buffer ``grads``.
-    ``values`` (name -> array) is copied in by name, else every parameter is 0; all must be finite."""
+    ``values`` (name -> array) is copied in by name, or ``flat`` (the whole vector) in one
+    assignment, else every parameter is 0; all must be finite."""
 
     def __init__(self, d: int, n_bins: int, gene_raw_lens: list[int], ms_nonlin: list[bool],
-                 ga_nonlin: list[bool], values=None):
+                 ga_nonlin: list[bool], values=None, flat=None):
         sizes = (d, n_bins, gene_raw_lens, len(ms_nonlin), len(ga_nonlin))
         super().__init__(*sizes)
         self.d, self.n_bins, self.ms_nonlin, self.ga_nonlin = d, n_bins, list(ms_nonlin), list(ga_nonlin)
-        if values is not None:
+        if flat is not None:
+            if np.shape(flat) != self.flat.shape:
+                raise ValueError(f"flat parameter vector has length {np.size(flat)}, "
+                                 f"but the layout needs {self.flat.size}")
+            self.flat[...] = flat
+        elif values is not None:
             for name, view in self.items():
                 if name not in values:
                     raise ValueError(f"parameter {name} is missing")
@@ -562,7 +568,7 @@ def evaluate(
 # ---------------------------------------------------------------------------
 # checkpoints
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # v2: one `flat` member; v1: one member per parameter name
 
 
 def save_checkpoint(path, params: ModelParams, cfg: TrainConfig, gene_raw_lens: list[int]) -> None:
@@ -575,7 +581,7 @@ def save_checkpoint(path, params: ModelParams, cfg: TrainConfig, gene_raw_lens: 
         "ga_nonlin": params.ga_nonlin,
         "config": cfg.to_dict(),
     }
-    np.savez(path, **params, _meta=np.array(json.dumps(meta, sort_keys=True)))
+    np.savez(path, flat=params.flat, _meta=np.array(json.dumps(meta, sort_keys=True)))
 
 
 def load_checkpoint(
@@ -583,15 +589,19 @@ def load_checkpoint(
 ) -> tuple[ModelParams, TrainConfig, dict]:
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["_meta"]))
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta.get('version')}")
+        version = meta.get("version")
+        if version not in (1, CHECKPOINT_VERSION):
+            raise ValueError(f"unsupported checkpoint version {version}")
         if expect_d is not None and meta["d"] != expect_d:
             raise ValueError(f"checkpoint d={meta['d']} does not match expected d={expect_d}")
         if expect_bins is not None and meta["bins"] != expect_bins:
             raise ValueError(f"checkpoint bins={meta['bins']} does not match expected bins={expect_bins}")
         cfg = TrainConfig.from_dict(meta["config"])
-        params = ModelParams(meta["d"], meta["bins"], meta["gene_raw_lens"], meta["ms_nonlin"],
-                             meta["ga_nonlin"], data)
+        dims = (meta["d"], meta["bins"], meta["gene_raw_lens"], meta["ms_nonlin"], meta["ga_nonlin"])
+        if version == 1:
+            params = ModelParams(*dims, values=data)
+        else:
+            params = ModelParams(*dims, flat=data["flat"])
     return params, cfg, meta
 
 

@@ -24,7 +24,9 @@ Each ``conv_backward_*`` returns (dL/dX, dL/dTheta, dL/dweights) of
 ``sum(hg_conv_forward(X, hg, theta, nonlin) * d_out)``.
 
 ``bank_retrieve_scan`` is ``MemoryBank.retrieve_missing`` as a per-entry
-scalar scan over the stored rows.
+scalar scan over the stored rows. ``bank_load_lines`` is ``MemoryBank.load``
+as a line-by-line parse that converts and checks each line before reading
+the next, inserting the entries through ``MemoryBank.update``.
 
 ``adam_init_per_array`` and ``adam_step_per_array`` are the Adam optimizer
 with decoupled weight decay run array by array over the named parameters,
@@ -44,6 +46,7 @@ import numpy as np
 from hgsurv.attention import attn_scores, softmax_rows
 from hgsurv.hgcore import GeneGraph, leaky, leaky_grad
 from hgsurv.hyperedges import cosine_similarity_matrix
+from hgsurv.membank import MemoryBank
 
 
 def member_rows(sets) -> np.ndarray:
@@ -293,6 +296,38 @@ def bank_retrieve_scan(keys, values, query: np.ndarray, mu: int) -> np.ndarray:
     for weight, idx in zip(w, order):
         out += weight * values[idx]
     return out
+
+
+def bank_load_lines(path) -> MemoryBank:
+    """A bank file parsed line by line; the first faulty line raises, naming the file and the line."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty bank file")
+    try:
+        head = dict(tok.split("=", 1) for tok in lines[0].split())
+    except ValueError:
+        head = {}
+    if "d" not in head or "theta" not in head:
+        raise ValueError(f"{path} line 1: malformed header {lines[0]!r}")
+    d = int(head["d"])
+    bank = MemoryBank(d=d, theta=float(head["theta"]), mu=int(head.get("mu", 1)))
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 1 + 2 * d:
+            raise ValueError(f"{path} line {lineno}: expected {1 + 2 * d} fields, got {len(parts)}")
+        if parts[0] in bank.key_ids:
+            raise ValueError(f"{path} line {lineno}: duplicate key {parts[0]!r}")
+        try:
+            row = [float(v) for v in parts[1:]]
+        except ValueError as exc:
+            raise ValueError(f"{path} line {lineno}: {exc}") from None
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{path} line {lineno}: non-finite value")
+        bank.update(parts[0], np.array(row[:d]), np.array(row[d:]))
+    return bank
 
 
 def adam_init_per_array(params) -> dict:

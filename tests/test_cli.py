@@ -11,7 +11,7 @@ from hgsurv.attention import write_heatmap
 from hgsurv.cli import main
 from hgsurv.datamodel import load_cohort, save_cohort
 from hgsurv.membank import MemoryBank
-from hgsurv.model import forward_record, init_params, load_checkpoint, substream
+from hgsurv.model import forward_record, init_params, load_checkpoint, save_checkpoint, substream
 
 
 def run(*argv):
@@ -330,6 +330,25 @@ class TestEval:
             b / "eval_manifest.json"
         )
 
+    def test_v1_checkpoint_evaluates_like_its_v2_resave(self, workspace, tmp_path):
+        import shutil
+
+        v1, v2 = tmp_path / "v1", tmp_path / "v2"
+        shutil.copytree(workspace / "train", v1)
+        shutil.copytree(workspace / "train", v2)
+        for fold in range(3):  # v1 holds each parameter under its name; v2 is its re-save
+            params, cfg, meta = load_checkpoint(v1 / f"fold_{fold}.npz")
+            v1_meta = json.dumps({**meta, "version": 1}, sort_keys=True)
+            np.savez(v1 / f"fold_{fold}.npz", **params, _meta=np.array(v1_meta))
+            save_checkpoint(v2 / f"fold_{fold}.npz", *load_checkpoint(v1 / f"fold_{fold}.npz")[:2],
+                            meta["gene_raw_lens"])
+        for ckpt_dir in (v1, v2):
+            assert run("eval", "--cohort", str(workspace / "cohort"), "--ckpt-dir", str(ckpt_dir),
+                       "--missing", "gene", "--out", str(ckpt_dir / "eval")) == 0
+        assert manifest_without_timing(v1 / "eval" / "eval_manifest.json") == manifest_without_timing(
+            v2 / "eval" / "eval_manifest.json"
+        )
+
     def test_corrupt_checkpoint_is_runtime_error(self, workspace, tmp_path):
         import shutil
 
@@ -344,10 +363,9 @@ class TestEval:
 
         broken = tmp_path / "nan"
         shutil.copytree(workspace / "train", broken)
-        with np.load(broken / "fold_0.npz") as data:
-            arrays = dict(data)
-        arrays["head_b"][0] = np.nan
-        np.savez(broken / "fold_0.npz", **arrays)
+        params, cfg, meta = load_checkpoint(broken / "fold_0.npz")
+        params["head_b"][0] = np.nan
+        save_checkpoint(broken / "fold_0.npz", params, cfg, meta["gene_raw_lens"])
         assert run("eval", "--cohort", str(workspace / "cohort"), "--ckpt-dir", str(broken),
                    "--out", str(tmp_path / "o")) == 2
         err = capsys.readouterr().err

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +87,21 @@ class TestInterSlide:
         edges = inter_slide_edges(feats, 2)
         # zero-norm center ties at 0 against everyone: picks index 1
         assert set(edges[0]) == {0, 1}
+
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200, 5e-324, 1.7e308])
+    def test_norm_under_and_overflow_rescaled(self, scale):
+        feats = np.array([[scale, 0.0], [1.0, 0.0], [0.0, 1.0], [-scale, scale]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sims = cosine_similarity_matrix(feats)
+        np.testing.assert_allclose(sims[0], [1.0, 1.0, 0.0, -np.sqrt(0.5)], rtol=1e-15)
+        np.testing.assert_allclose(sims[:, 3], [-np.sqrt(0.5), -np.sqrt(0.5), np.sqrt(0.5), 1.0], rtol=1e-15)
+        ordinary = np.array([[3.0, 4.0], [1.0, 0.0], [0.0, 0.0]])  # finite nonzero norms stay bit-identical
+        norms = np.linalg.norm(ordinary, axis=1)
+        unit = ordinary / np.where(norms > 0, norms, 1.0)[:, None]
+        expected = unit @ unit.T
+        assert cosine_similarity_matrix(ordinary).tobytes() == expected.tobytes()
 
 
 def brute_force_knn(keys_matrix, lam):

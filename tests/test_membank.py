@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hgsurv.membank import MemoryBank, Modality
-from oracles import bank_retrieve_scan
+from oracles import bank_load_lines, bank_retrieve_scan
 
 
 def bank_with(entries, d=2, theta=0.9, mu=1):
@@ -304,3 +304,87 @@ class TestSaveLoad:
         path.write_text("d=2 theta=0.9 mu=1\nJ 0.5 0.5 0.5 0.5\nK 1.0 abc 1.0 1.0\n")
         with pytest.raises(ValueError, match=r"bank\.txt line 3: could not convert string to float: 'abc'"):
             MemoryBank.load(path)
+
+
+FAULTS = ("truncated", "duplicate", "non-numeric", "nan", "inf", "-inf")
+
+
+def _field_texts(rng: np.random.Generator, n: int) -> list[str]:
+    """n numeric fields as a saved bank or a hand edit could hold them: repr floats across the
+    exponent range, signed zeros, a subnormal and plain integers."""
+    kind = rng.integers(0, 5, n)
+    vals = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    texts = [repr(float(v)) for v in vals]
+    for i in np.flatnonzero(kind == 1):
+        texts[i] = str(int(rng.integers(-9, 10)))
+    for i in np.flatnonzero(kind == 2):
+        texts[i] = ("0.0", "-0.0", "5e-324", "-1.7976931348623157e+308")[int(rng.integers(4))]
+    return texts
+
+
+@st.composite
+def bank_files(draw):
+    """A bank file's text: d from 1 to 40, 0 to 70 entries (the doubling boundaries drawn
+    often), blank and whitespace-only lines in between, and up to three faulty lines."""
+    d = draw(st.integers(min_value=1, max_value=40))
+    n = draw(st.one_of(st.sampled_from([0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 70]),
+                       st.integers(min_value=0, max_value=70)))
+    faults = draw(st.lists(st.tuples(st.sampled_from(FAULTS), st.integers(min_value=0, max_value=69)),
+                           max_size=3)) if n else []
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    rows = [[f"P{i:03d}"] + _field_texts(rng, 2 * d) for i in range(n)]
+    for fault, at in faults:
+        row = rows[at % n]
+        if fault == "truncated":
+            del row[-1]
+        elif fault == "duplicate":
+            row[0] = rows[int(rng.integers(n))][0]
+        else:
+            row[1 + int(rng.integers(len(row) - 1))] = "abc" if fault == "non-numeric" else fault
+    lines = [f"d={d} theta={draw(st.sampled_from([0.0, 0.9, 1 / 3]))!r} mu=2"]
+    for row in rows:
+        lines += [""] * int(rng.random() < 0.1) + ["  "] * int(rng.random() < 0.05) + [" ".join(row)]
+    return "\n".join(lines) + "\n" * int(rng.integers(0, 3))
+
+
+class TestLoadOracle:
+    @given(bank_files())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_line_by_line_parse(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("bank") / "bank.txt"
+        path.write_text(text)
+        try:
+            want = bank_load_lines(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                MemoryBank.load(path)
+            assert str(got.value) == str(exc)
+            return
+        bank = MemoryBank.load(path)
+        assert (bank.d, bank.theta, bank.mu) == (want.d, want.theta, want.mu)
+        assert bank.key_ids == want.key_ids
+        for modality in Modality:
+            assert bank.column(modality).tobytes() == want.column(modality).tobytes()
+        # the loaded buffer grows like the oracle's built one
+        new = np.arange(2 * bank.d, dtype=float)
+        for b in (bank, want):
+            b.update("new", new[: b.d], new[b.d :])
+        assert bank.column(Modality.GENE).tobytes() == want.column(Modality.GENE).tobytes()
+
+    @pytest.mark.parametrize("fault, message", [
+        ("truncated", "line 3: expected 5 fields, got 4"),
+        ("duplicate", "line 3: duplicate key 'J'"),
+        ("non-numeric", "line 3: could not convert string to float: 'abc'"),
+        ("nan", "line 3: non-finite value"),
+        ("inf", "line 3: non-finite value"),
+        ("-inf", "line 3: non-finite value"),
+    ])
+    def test_faults_named_alike(self, tmp_path, fault, message):
+        third = {"truncated": "K 1.0 1.0 1.0", "duplicate": "J 1.0 1.0 1.0 1.0",
+                 "non-numeric": "K 1.0 abc 1.0 1.0"}.get(fault, f"K 1.0 1.0 {fault} 1.0")
+        path = tmp_path / "bank.txt"
+        path.write_text(f"d=2 theta=0.9 mu=1\nJ 0.5 0.5 0.5 0.5\n{third}\nL 1.0 1.0 1.0 1.0\n")
+        for load in (MemoryBank.load, bank_load_lines):
+            with pytest.raises(ValueError) as exc:
+                load(path)
+            assert str(exc.value) == f"{path} {message}"

@@ -383,6 +383,23 @@ class TestCheckpoint:
         assert loaded_cfg == cfg
         assert meta["gene_raw_lens"] == [12, 14]
 
+    def test_v2_keeps_flat_bit_identical_and_rejects_a_wrong_length(self, tmp_path):
+        rec, cfg, params = micro_setup()
+        rng = np.random.default_rng(3)
+        params.flat[:] = rng.standard_normal(params.flat.size) * 10.0 ** rng.integers(-300, 300, params.flat.size)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, params, cfg, [12, 14])
+        with np.load(path) as data:
+            assert set(data.files) == {"_meta", "flat"}
+            meta = str(data["_meta"])
+        assert json.loads(meta)["version"] == 2
+        loaded = load_checkpoint(path)[0]
+        assert loaded.flat.tobytes() == params.flat.tobytes()
+        short = tmp_path / "short.npz"
+        np.savez(short, flat=params.flat[:-1], _meta=np.array(meta))
+        with pytest.raises(ValueError, match=f"length {params.flat.size - 1}, but the layout needs {params.flat.size}"):
+            load_checkpoint(short)
+
     def test_non_finite_parameter_named(self, tmp_path):
         rec, cfg, params = micro_setup()
         params["head_b"][1] = np.nan  # written past the constructor's check, as a corrupted file would be
@@ -665,7 +682,8 @@ class TestCheckpointV1:
         assert params.ms_nonlin == [True, False]
         resaved = tmp_path / "resaved.npz"
         save_checkpoint(resaved, params, cfg, raw_lens)
-        with np.load(v1) as a, np.load(resaved) as b:
-            assert sorted(a.files) == sorted(b.files)
-            for key in a.files:
-                np.testing.assert_array_equal(a[key], b[key])
+        with np.load(resaved) as b:
+            assert set(b.files) == {"_meta", "flat"}
+        reloaded = load_checkpoint(resaved)[0]
+        for name in names:
+            np.testing.assert_array_equal(reloaded[name], stored[name])
