@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from .attention import write_heatmap
-from .datamodel import Censor, Cohort, load_cohort, save_cohort, validate_cohort
+from .datamodel import Censor, Cohort, assign_folds, load_cohort, save_cohort, validate_cohort
 from .membank import MemoryBank, Modality
 from .metrics import SurvPoint, c_index, km_curve, logrank_test, stratify_median, write_km_export
 from .model import (
@@ -53,58 +53,55 @@ def _write_manifest(path, manifest: dict) -> None:
         fh.write("\n")
 
 
-def _resolve(args, key, config_file: dict, default):
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key in config_file:
-        return config_file[key]
-    return default
-
-
 def _load_config_file(args) -> dict:
     if getattr(args, "config", None) is None:
         return {}
     try:
         with open(args.config) as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ValidationError(f"config file {args.config}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValidationError(f"config file {args.config}: the top level must be a JSON object")
+    return raw
 
 
-# Fields whose flag is spelled differently; a config file may use either name.
+# the JSON values a setting takes, by the type of its default; a boolean is never a number
+_JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string")}
+
+# TrainConfig fields whose flag is spelled differently; a config file may use either name.
 _FLAG_NAMES = {"weight_decay": "wd", "beta_fraction": "beta_frac", "fusion_mode": "fusion"}
-_FIELD_NAMES = {flag: name for name, flag in _FLAG_NAMES.items()}
 
 
-def _train_config(args) -> TrainConfig:
-    """Every TrainConfig field from its flag, else the --config file, else the default."""
+def _resolve_settings(args, defaults: dict, flag_names: dict) -> dict:
+    """Each setting in ``defaults`` from its flag, else from the --config file under its name or
+    its flag's name (``flag_names`` maps the names whose flag is spelled differently), else its
+    default. Every config value must have its default's type."""
     raw = _load_config_file(args)
-    resolved = TrainConfig().to_dict()
-    _reject_unknown_keys(args, raw, [*resolved, *_FIELD_NAMES])
-    cf = {_FIELD_NAMES.get(k, k): v for k, v in raw.items()}
+    names = {name: name for name in defaults} | {flag: name for name, flag in flag_names.items()}
+    unknown = sorted(set(raw) - set(names))
+    if unknown:
+        raise ValidationError(f"config file {args.config}: unknown key(s) {', '.join(unknown)}")
+    cf = {names[k]: v for k, v in raw.items()}
     if len(cf) < len(raw):
         raise ValidationError(f"config file {args.config}: a field is set under both its names")
-    for name, default in resolved.items():
-        flag = getattr(args, _FLAG_NAMES.get(name, name), None)
-        value = cf.get(name, default) if flag is None else flag
-        try:
-            resolved[name] = value if isinstance(default, str) else type(default)(value)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{name}: {exc}") from exc
-    try:
-        return TrainConfig.from_dict(resolved)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    resolved = dict(defaults)
+    for name, value in cf.items():
+        kind = type(defaults[name])
+        accepted, what = _JSON_KINDS[kind]
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ValidationError(f"config file {args.config}: {name} must be {what}, got {value!r}")
+        resolved[name] = kind(value)
+    for name in defaults:
+        if (flag := getattr(args, flag_names.get(name, name), None)) is not None:
+            resolved[name] = flag
+    return resolved
 
 
 def _resolve_folds(cohort: Cohort, n_folds: int | None, seed: int) -> np.ndarray:
     if n_folds is None or n_folds == cohort.n_folds:
         return cohort.folds
-    perm = substream(seed, "folds").permutation(len(cohort.patients))
-    folds = np.zeros(len(cohort.patients), dtype=np.intp)
-    folds[perm] = np.arange(len(cohort.patients)) % n_folds
-    return folds
+    return assign_folds(substream(seed, "folds"), len(cohort.patients), n_folds)
 
 
 def _split(cohort: Cohort, folds: np.ndarray, fold: int):
@@ -129,36 +126,29 @@ def _load_cohort_checked(path: str) -> Cohort:
     return cohort
 
 
-# generate's config keys (its flags' names) and their defaults
-_GENERATE_DEFAULTS = dict(n=60, slides_min=2, slides_max=3, patches=16, d=32, w_groups=6, signal=1.0,
-                          censor_rate=0.2, seed=0, noise=1.5, bins=4, folds=5)
+# generate's flags, which are also its config keys, and the SynthConfig field each sets;
+# --slides-min and --slides-max set the two ends of slides_per_patient
+_GENERATE_FIELDS = {"n": "n_patients", "seed": "seed", "d": "d", "w_groups": "w_groups",
+                    "patches": "patches_per_slide", "slides_min": "slides_per_patient",
+                    "slides_max": "slides_per_patient", "signal": "signal_strength",
+                    "censor_rate": "censor_rate", "noise": "feature_noise", "bins": "n_bins",
+                    "folds": "n_folds"}
 
 
-def _reject_unknown_keys(args, raw: dict, known) -> None:
-    unknown = sorted(set(raw) - set(known))
-    if unknown:
-        raise ValidationError(f"config file {args.config}: unknown key(s) {', '.join(unknown)}")
+def _generate_defaults() -> dict:
+    base = SynthConfig()
+    defaults = {flag: getattr(base, field) for flag, field in _GENERATE_FIELDS.items()}
+    defaults["slides_min"], defaults["slides_max"] = base.slides_per_patient
+    return defaults
 
 
 def cmd_generate(args) -> int:
-    cf = _load_config_file(args)
-    _reject_unknown_keys(args, cf, _GENERATE_DEFAULTS)
-    v = {k: _resolve(args, k, cf, default) for k, default in _GENERATE_DEFAULTS.items()}
+    v = _resolve_settings(args, _generate_defaults(), {})
+    fields = {field: v[flag] for flag, field in _GENERATE_FIELDS.items()}
+    fields["slides_per_patient"] = (v["slides_min"], v["slides_max"])
     try:
-        config = SynthConfig(
-            n_patients=int(v["n"]),
-            slides_per_patient=(int(v["slides_min"]), int(v["slides_max"])),
-            patches_per_slide=int(v["patches"]),
-            d=int(v["d"]),
-            w_groups=int(v["w_groups"]),
-            signal_strength=float(v["signal"]),
-            censor_rate=float(v["censor_rate"]),
-            seed=int(v["seed"]),
-            feature_noise=float(v["noise"]),
-            n_bins=int(v["bins"]),
-            n_folds=int(v["folds"]),
-        )
-    except (TypeError, ValueError) as exc:
+        config = SynthConfig(**fields)
+    except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     cohort = generate(config)
     save_cohort(cohort, args.out)
@@ -173,12 +163,18 @@ def cmd_generate(args) -> int:
 def _training_setup(args):
     """Cohort, config, fold assignment and gene raw lengths of a train or ablate run."""
     cohort = _load_cohort_checked(args.cohort)
-    cfg = _train_config(args)
+    try:
+        cfg = TrainConfig.from_dict(_resolve_settings(args, TrainConfig().to_dict(), _FLAG_NAMES))
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
     if cfg.bins != cohort.n_bins:
         raise ValidationError(f"--bins {cfg.bins} does not match cohort bins {cohort.n_bins}")
     incomplete = [p.patient_id for p in cohort.patients if not (p.has_pathology and p.has_genes)]
     if incomplete:
         raise ValidationError(f"incomplete training records: {', '.join(incomplete[:5])}")
+    if args.folds is not None and not 1 <= args.folds <= len(cohort.patients):
+        raise ValidationError(f"--folds {args.folds} must lie in [1, {len(cohort.patients)}], "
+                              "the number of patients in the cohort")
     os.makedirs(args.out, exist_ok=True)
     return cohort, cfg, _resolve_folds(cohort, args.folds, cfg.seed), cohort_gene_raw_lens(cohort)
 
@@ -382,18 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="write a synthetic cohort")
     g.add_argument("--out", required=True)
-    g.add_argument("--n", type=int)
-    g.add_argument("--seed", type=int)
-    g.add_argument("--d", type=int)
-    g.add_argument("--w-groups", dest="w_groups", type=int)
-    g.add_argument("--patches", type=int)
-    g.add_argument("--slides-min", dest="slides_min", type=int)
-    g.add_argument("--slides-max", dest="slides_max", type=int)
-    g.add_argument("--signal", type=float)
-    g.add_argument("--censor-rate", dest="censor_rate", type=float)
-    g.add_argument("--noise", type=float)
-    g.add_argument("--bins", type=int)
-    g.add_argument("--folds", type=int)
+    for flag, default in _generate_defaults().items():
+        g.add_argument("--" + flag.replace("_", "-"), dest=flag, type=type(default))
     g.add_argument("--config")
     g.set_defaults(func=cmd_generate)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -169,6 +170,14 @@ def assign_bins(times, censors, n_bins: int) -> BinAssignment:
     return BinAssignment(bin_edges=qs, bins=bins, used_fallback=fallback)
 
 
+def assign_folds(rng: np.random.Generator, n: int, n_folds: int) -> np.ndarray:
+    """Per-patient fold indices: a permutation drawn from rng deals the n patients round-robin
+    into n_folds >= 1 folds, so fold sizes differ by at most one."""
+    folds = np.zeros(n, dtype=np.intp)
+    folds[rng.permutation(n)] = np.arange(n) % n_folds
+    return folds
+
+
 def validate_cohort(cohort: Cohort) -> list[str]:
     """Every invariant violation, tagged with the offending patient."""
     problems = []
@@ -178,6 +187,8 @@ def validate_cohort(cohort: Cohort) -> list[str]:
         problems.append("cohort: bin_edges must be strictly increasing")
     if cohort.folds.shape[0] != len(cohort.patients):
         problems.append("cohort: folds must align with patients")
+    counts = Counter(p.patient_id for p in cohort.patients)
+    problems += [f"{pid}: patient id listed {n} times" for pid, n in counts.items() if n > 1]
     layout = cohort.gene_layout
     for i, p in enumerate(cohort.patients):
         if not p.has_pathology and not p.has_genes:
@@ -273,6 +284,13 @@ def load_cohort(in_dir: str) -> Cohort:
         raise FileNotFoundError(f"no cohort manifest at {manifest_path}")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
+    try:
+        return _cohort_from_manifest(in_dir, manifest)
+    except KeyError as exc:  # only manifest entries are looked up unchecked
+        raise ValueError(f"{manifest_path}: missing key {exc.args[0]!r}") from None
+
+
+def _cohort_from_manifest(in_dir: str, manifest: dict) -> Cohort:
     d = int(manifest["d"])
     bin_edges = np.asarray(manifest["bin_edges"], dtype=np.float64)
 

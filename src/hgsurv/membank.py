@@ -84,14 +84,12 @@ class MemoryBank:
         self._index[key_id] = row
         self.key_ids.append(key_id)
 
-    def retrieve_missing(
-        self, available_vec: np.ndarray, available: Modality, mu: int | None = None
-    ) -> np.ndarray:
+    def retrieve_missing(self, available_vec: np.ndarray, available: Modality) -> np.ndarray:
         """Softmax-weighted top-mu aggregate of the missing modality's column."""
         if not (n := len(self)):
             raise ValueError("cold memory: bank is empty")
         query = self._checked([available_vec], "query")[0]
-        mu = min(self.mu if mu is None else mu, n)
+        mu = min(self.mu, n)
         other = Modality.GENE if available is Modality.PATH else Modality.PATH
         keys, values = self.column(available), self.column(other)
         norms = np.sqrt(np.einsum("ij,ij->i", keys, keys)) * np.linalg.norm(query)

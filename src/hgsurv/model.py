@@ -467,19 +467,21 @@ def adam_init(params: ModelParams) -> dict:
     return {"t": 0, "m": np.zeros(n), "v": np.zeros(n), "scratch": np.empty((2, n))}
 
 
-def adam_step(params: ModelParams, grads: FlatViews, state: dict, lr: float, weight_decay: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(params: ModelParams, grads: FlatViews, state: dict, lr: float, weight_decay: float) -> None:
     """One Adam step with decoupled weight decay, fused over the flat vectors. Temporaries go to
     the scratch rows: allocating one per operation would cost more than the arithmetic."""
     state["t"] = t = state["t"] + 1
     p, g, m, v, (s, u) = params.flat, grads.flat, state["m"], state["v"], state["scratch"]
-    m *= beta1
-    m += np.multiply(g, 1 - beta1, out=s)
-    v *= beta2
-    v += np.multiply(np.multiply(g, 1 - beta2, out=s), g, out=s)
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1 - ADAM_BETA1, out=s)
+    v *= ADAM_BETA2
+    v += np.multiply(np.multiply(g, 1 - ADAM_BETA2, out=s), g, out=s)
     p -= np.multiply(p, lr * weight_decay, out=s)  # decoupled weight decay
-    m_hat, v_hat = np.divide(m, 1 - beta1**t, out=s), np.divide(v, 1 - beta2**t, out=u)
-    p -= np.divide(np.multiply(m_hat, lr, out=s), np.add(np.sqrt(v_hat, out=u), eps, out=u), out=s)
+    m_hat, v_hat = np.divide(m, 1 - ADAM_BETA1**t, out=s), np.divide(v, 1 - ADAM_BETA2**t, out=u)
+    p -= np.divide(np.multiply(m_hat, lr, out=s), np.add(np.sqrt(v_hat, out=u), ADAM_EPS, out=u), out=s)
 
 
 def train_epoch(

@@ -37,7 +37,9 @@ def hazards_from_logits(logits: np.ndarray) -> HazardOutput:
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 1 or not np.all(np.isfinite(logits)):
         raise ValueError("logits must be a finite vector")
-    hazards = np.clip(1.0 / (1.0 + np.exp(-logits)), EPS, 1.0 - EPS)
+    # any logit below about -16 lands on the EPS clamp, so the cap at -700 changes no hazard;
+    # it keeps exp from overflowing
+    hazards = np.clip(1.0 / (1.0 + np.exp(-np.maximum(logits, -700.0))), EPS, 1.0 - EPS)
     survival = np.cumprod(1.0 - hazards)
     return HazardOutput(hazards=hazards, survival=survival, risk=float(-survival.sum()))
 

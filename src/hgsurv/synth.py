@@ -1,12 +1,14 @@
 """Seed-controlled synthetic cohort generator with a planted risk signal.
 
 Each patient carries a latent risk z ~ N(0,1). A spatially contiguous
-subset of patches per slide ("informative region") is shifted by
-z * signal_strength along a fixed direction; gene-group vectors are
-shifted the same way along per-group directions. Slides can optionally
-carry their own random batch offset (slide_offset_noise), which
-confounds cross-slide feature similarity but not spatial neighborhoods.
-Survival times shrink as z grows, with noise tempered by
+subset of patches per slide ("informative region", the INFORMATIVE_FRAC
+= 0.4 share of its patches) is shifted by z * signal_strength along a
+fixed direction; gene-group vectors are shifted the same way along
+per-group directions. Slides can optionally carry their own random batch
+offset (slide_offset_noise), which confounds cross-slide feature
+similarity but not spatial neighborhoods. Survival times are
+TIME_SCALE = 24 months times exp(-signal_strength * z) times a noise
+factor, so they shrink as z grows; the noise is tempered by
 signal_strength so the planted ordering sharpens as the signal does.
 At signal_strength == 0 the times are plain exponentials and all
 features are independent of survival.
@@ -28,7 +30,11 @@ from .datamodel import (
     SlideKind,
     SurvivalLabel,
     assign_bins,
+    assign_folds,
 )
+
+INFORMATIVE_FRAC = 0.4  # share of each slide's patches in its informative region
+TIME_SCALE = 24.0  # months: the survival time of a patient at z = 0 before the noise factor
 
 GENE_GROUP_NAMES = [
     "tumor_suppression",
@@ -52,8 +58,6 @@ class SynthConfig:
     seed: int = 0
     feature_noise: float = 1.5
     slide_offset_noise: float = 0.0  # optional per-slide batch effect
-    informative_frac: float = 0.4
-    time_scale: float = 24.0
     n_bins: int = 4
     n_folds: int = 5
 
@@ -66,6 +70,10 @@ class SynthConfig:
             raise ValueError("censor_rate must lie in [0, 1)")
         if self.signal_strength < 0:
             raise ValueError("signal_strength must be nonnegative")
+        if self.n_folds < 1:
+            raise ValueError("n_folds must be >= 1")
+        if self.n_bins < 2:
+            raise ValueError("n_bins must be >= 2")
 
     def gene_raw_lengths(self) -> list[int]:
         return [12 + 2 * w for w in range(self.w_groups)]
@@ -119,7 +127,7 @@ def generate_detailed(config: SynthConfig) -> tuple[Cohort, SynthLatent]:
             side = math.ceil(math.sqrt(n_p))
             cells = [(r, c) for r in range(side) for c in range(side)][:n_p]
             coords = np.array(cells, dtype=np.float64) * 100.0 + path_rng.uniform(-30, 30, (n_p, 2))
-            n_inf = int(round(config.informative_frac * n_p))
+            n_inf = int(round(INFORMATIVE_FRAC * n_p))
             corner = int(path_rng.integers(4))
             if corner in (2, 3):  # column-major scan
                 order = sorted(range(n_p), key=lambda j: (cells[j][1], cells[j][0]))
@@ -147,7 +155,7 @@ def generate_detailed(config: SynthConfig) -> tuple[Cohort, SynthLatent]:
 
         # tempered noise: the z -> time link tightens as the signal grows
         e = time_rng.exponential()
-        t_true = config.time_scale * math.exp(-s * z[i]) * e ** (1.0 / (1.0 + 2.0 * s))
+        t_true = TIME_SCALE * math.exp(-s * z[i]) * e ** (1.0 / (1.0 + 2.0 * s))
         censored = time_rng.random() < config.censor_rate
         t_obs = t_true * time_rng.uniform(0.1, 1.0) if censored else t_true
         true_times[i] = t_true
@@ -159,8 +167,6 @@ def generate_detailed(config: SynthConfig) -> tuple[Cohort, SynthLatent]:
     assignment = assign_bins(times, censors, config.n_bins)
     for p, b in zip(patients, assignment.bins):
         p.label.bin = int(b)
-    perm = fold_rng.permutation(config.n_patients)
-    folds = np.zeros(config.n_patients, dtype=np.intp)
-    folds[perm] = np.arange(config.n_patients) % config.n_folds
+    folds = assign_folds(fold_rng, config.n_patients, config.n_folds)
     cohort = Cohort(patients=patients, d=d, bin_edges=assignment.bin_edges, folds=folds)
     return cohort, SynthLatent(z=z, true_times=true_times)

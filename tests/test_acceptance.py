@@ -355,11 +355,13 @@ def test_criterion_6_memory_bank_contracts(tmp_path):
         keys = list(bank.column(avail))
         vals = list(bank.column(Modality.GENE if avail is Modality.PATH else Modality.PATH))
         best = min(range(n), key=lambda i: (-cos(q, keys[i]), i))
-        got = bank.retrieve_missing(q, avail, mu=1)
+        bank.mu = 1
+        got = bank.retrieve_missing(q, avail)
         np.testing.assert_array_equal(got, vals[best])  # mu=1 == exact nearest neighbor
 
         mu = int(rng.integers(1, n + 1))
-        out = bank.retrieve_missing(q, avail, mu=mu)
+        bank.mu = mu
+        out = bank.retrieve_missing(q, avail)
         order = sorted(range(n), key=lambda i: (-cos(q, keys[i]), i))[:mu]
         sel = np.array([vals[i] for i in order])
         for u in rng.standard_normal((25, d)):

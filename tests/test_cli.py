@@ -75,6 +75,39 @@ class TestGenerate:
         assert "unknown key(s) bogus_key" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("bad, message", [({"n": 6.9}, "n must be an integer, got 6.9"),
+                                              ({"folds": True}, "folds must be an integer, got True"),
+                                              ({"signal": "2"}, "signal must be a number, got '2'"),
+                                              ({"noise": False}, "noise must be a number, got False")])
+    def test_config_value_of_the_wrong_type_rejected(self, tmp_path, capsys, bad, message):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(bad))
+        assert run("generate", "--out", str(tmp_path / "x"), "--config", str(cfg_file)) == 1
+        assert f"config file {cfg_file}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_integer_config_value_for_a_real_setting(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"signal": 2}))
+        assert run("generate", "--out", str(tmp_path / "a"), "--config", str(cfg_file), "--n", "6") == 0
+        assert run("generate", "--out", str(tmp_path / "b"), "--signal", "2.0", "--n", "6") == 0
+        assert dir_digest(tmp_path / "a") == dir_digest(tmp_path / "b")
+
+    @pytest.mark.parametrize("flags, message", [(["--folds", "0"], "n_folds must be >= 1"),
+                                                (["--folds", "-2"], "n_folds must be >= 1"),
+                                                (["--bins", "1"], "n_bins must be >= 2")])
+    def test_bad_fold_or_bin_count_is_validation_error(self, tmp_path, capsys, flags, message):
+        assert run("generate", "--out", str(tmp_path / "x"), "--n", "6", *flags) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"abc"', "3"])
+    def test_config_that_is_not_an_object_rejected(self, tmp_path, capsys, text):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(text)
+        assert run("generate", "--out", str(tmp_path / "x"), "--config", str(cfg_file)) == 1
+        assert "the top level must be a JSON object" in capsys.readouterr().err
+
     def test_config_keys_are_flag_names(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"n": 9, "w_groups": 3, "slides_max": 2, "folds": 2}))
@@ -155,6 +188,26 @@ class TestTrain:
         assert run("train", "--cohort", str(workspace / "cohort"),
                    "--out", str(tmp_path / "o"), "--config", str(cfg_file)) == 1
 
+    @pytest.mark.parametrize("bad, message", [({"epochs": 1.7}, "epochs must be an integer, got 1.7"),
+                                              ({"lr": True}, "lr must be a number, got True"),
+                                              ({"fusion": 3}, "fusion_mode must be a string, got 3"),
+                                              ({"bank_mu": "2"}, "bank_mu must be an integer, got '2'")])
+    def test_config_value_of_the_wrong_type_rejected(self, workspace, tmp_path, capsys, bad, message):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(bad))
+        assert run("train", "--cohort", str(workspace / "cohort"),
+                   "--out", str(tmp_path / "o"), "--config", str(cfg_file)) == 1
+        assert f"config file {cfg_file}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("folds", ["0", "-1", "17"])
+    def test_fold_count_outside_the_cohort_rejected(self, workspace, tmp_path, capsys, command, folds):
+        assert run(command, "--cohort", str(workspace / "cohort"), "--out", str(tmp_path / "o"),
+                   "--folds", folds, *TRAIN) == 1
+        assert f"--folds {folds} must lie in [1, 16]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_config_sets_every_field(self, workspace, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"n_max": 32, "bank_mu": 2, "wd": 1e-4}))
@@ -218,6 +271,26 @@ class TestTrain:
         else:
             expect = f"survival.csv line 2: time '{time}' is negative or not finite"
         assert expect in capsys.readouterr().err
+
+    def test_repeated_patient_id_is_validation_error(self, workspace, tmp_path, capsys):
+        save_cohort(load_cohort(str(workspace / "cohort")), str(tmp_path / "dup"))
+        path = tmp_path / "dup" / "cohort.json"
+        manifest = json.loads(path.read_text())
+        first = manifest["patients"][0]
+        manifest["patients"].append(first)
+        path.write_text(json.dumps(manifest))
+        assert run("train", "--cohort", str(tmp_path / "dup"), "--out", str(tmp_path / "o"),
+                   "--folds", "1", *TRAIN) == 1
+        assert f"{first['patient_id']}: patient id listed 2 times" in capsys.readouterr().err
+
+    def test_missing_manifest_key_is_validation_error(self, workspace, tmp_path, capsys):
+        save_cohort(load_cohort(str(workspace / "cohort")), str(tmp_path / "nod"))
+        path = tmp_path / "nod" / "cohort.json"
+        manifest = json.loads(path.read_text())
+        del manifest["d"]
+        path.write_text(json.dumps(manifest))
+        assert run("train", "--cohort", str(tmp_path / "nod"), "--out", str(tmp_path / "o"), *TRAIN) == 1
+        assert f"error: {path}: missing key 'd'" in capsys.readouterr().err
 
     def test_gene_layout_mismatch_is_validation_error(self, workspace, tmp_path, capsys):
         cohort = load_cohort(str(workspace / "cohort"))

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -14,6 +15,7 @@ from hgsurv.datamodel import (
     SlideKind,
     SurvivalLabel,
     assign_bins,
+    assign_folds,
     bin_for_time,
     load_cohort,
     save_cohort,
@@ -126,6 +128,19 @@ class TestValidateCohort:
             "p1: gene group lengths [5, 6] != [5, 7] of the first patient with genes"
         ]
 
+    def test_repeated_patient_id_reported_once_per_id(self):
+        cohort = tiny_cohort()
+        cohort.patients.append(cohort.patients[0])
+        cohort.folds = np.array([0, 1, 0])
+        assert validate_cohort(cohort) == ["p0: patient id listed 2 times"]
+
+
+class TestAssignFolds:
+    def test_round_robin_over_the_permutation(self):
+        perm = np.random.default_rng(3).permutation(7)
+        folds = assign_folds(np.random.default_rng(3), 7, 3)
+        assert [folds[i] for i in perm] == [0, 1, 2, 0, 1, 2, 0]
+
 
 class TestTypes:
     def test_slide_requires_patches(self):
@@ -216,3 +231,17 @@ class TestLoadErrors:
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
         with pytest.raises(ValueError, match=re.escape(message)):
             load_cohort(tmp_path / "c")
+
+    @pytest.mark.parametrize("drop", [("d",), ("patients",), ("patients", 1, "fold"),
+                                      ("patients", 0, "slides", 0, "kind")])
+    def test_missing_manifest_key_names_file_and_key(self, tmp_path, drop):
+        save_cohort(tiny_cohort(), tmp_path / "c")
+        path = tmp_path / "c" / "cohort.json"
+        manifest = json.loads(path.read_text())
+        owner = manifest
+        for step in drop[:-1]:
+            owner = owner[step]
+        del owner[drop[-1]]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: missing key {drop[-1]!r}")):
+            load_cohort(str(tmp_path / "c"))

@@ -66,15 +66,15 @@ class TestRetrieve:
         b = bank_with(
             [("a", [1, 0], [10, 0]), ("b", [0, 1], [0, 10]), ("c", [0.7, 0.7], [5, 5])]
         )
-        got = b.retrieve_missing(np.array([0.9, 0.1]), Modality.PATH, mu=1)
+        b.mu = 1
+        got = b.retrieve_missing(np.array([0.9, 0.1]), Modality.PATH)
         np.testing.assert_array_equal(got, [10, 0])
 
     def test_single_entry_any_mu(self):
         b = bank_with([("a", [1, 0], [3, 7])])
         for mu in (1, 2, 50):
-            np.testing.assert_array_equal(
-                b.retrieve_missing(np.array([0.0, 1.0]), Modality.PATH, mu=mu), [3, 7]
-            )
+            b.mu = mu
+            np.testing.assert_array_equal(b.retrieve_missing(np.array([0.0, 1.0]), Modality.PATH), [3, 7])
 
     def test_three_entry_hand_softmax(self):
         b = bank_with(
@@ -85,12 +85,14 @@ class TestRetrieve:
         w = np.exp(sims[:2] - 1.0)
         w = w / w.sum()
         expect = w[0] * np.array([1.0, 1.0]) + w[1] * np.array([2.0, 2.0])
-        got = b.retrieve_missing(q, Modality.PATH, mu=2)
+        b.mu = 2
+        got = b.retrieve_missing(q, Modality.PATH)
         np.testing.assert_allclose(got, expect, atol=1e-10)
 
     def test_gene_side_query(self):
         b = bank_with([("a", [9, 9], [1, 0]), ("b", [4, 4], [0, 1])])
-        got = b.retrieve_missing(np.array([0.0, 2.0]), Modality.GENE, mu=1)
+        b.mu = 1
+        got = b.retrieve_missing(np.array([0.0, 2.0]), Modality.GENE)
         np.testing.assert_array_equal(got, [4, 4])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -106,12 +108,14 @@ class TestRetrieve:
 
     def test_mu_clamped_to_bank_size(self):
         b = bank_with([("a", [1, 0], [1, 0]), ("b", [0, 1], [0, 1])])
-        out = b.retrieve_missing(np.array([1.0, 1.0]), Modality.PATH, mu=99)
+        b.mu = 99
+        out = b.retrieve_missing(np.array([1.0, 1.0]), Modality.PATH)
         assert np.all(np.isfinite(out))
 
     def test_ties_broken_by_lowest_index(self):
         b = bank_with([("a", [1, 0], [111, 0]), ("b", [1, 0], [222, 0])])
-        got = b.retrieve_missing(np.array([1.0, 0.0]), Modality.PATH, mu=1)
+        b.mu = 1
+        got = b.retrieve_missing(np.array([1.0, 0.0]), Modality.PATH)
         np.testing.assert_array_equal(got, [111, 0])
 
     def test_tied_maxima_after_lower_entries(self):
@@ -119,12 +123,15 @@ class TestRetrieve:
         b = bank_with([("a", [0, 1], [10, 0]), ("b", [1, 0], [11, 0]), ("c", [1, 1], [12, 0]),
                        ("d", [2, 0], [13, 0]), ("e", [3, 0], [14, 0])])
         q = np.array([5.0, 0.0])
-        np.testing.assert_array_equal(b.retrieve_missing(q, Modality.PATH, mu=1), [11, 0])
+        b.mu = 1
+        np.testing.assert_array_equal(b.retrieve_missing(q, Modality.PATH), [11, 0])
         keys, values = list(b.column(Modality.PATH)), list(b.column(Modality.GENE))
         for mu in (2, 3, 4, 5):
-            np.testing.assert_allclose(b.retrieve_missing(q, Modality.PATH, mu=mu),
+            b.mu = mu
+            np.testing.assert_allclose(b.retrieve_missing(q, Modality.PATH),
                                        bank_retrieve_scan(keys, values, q, mu), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(b.retrieve_missing(q, Modality.PATH, mu=3), [(11 + 13 + 14) / 3, 0])
+        b.mu = 3
+        np.testing.assert_allclose(b.retrieve_missing(q, Modality.PATH), [(11 + 13 + 14) / 3, 0])
 
     def test_equal_keys_tie_to_first_at_model_width(self):
         # every key equal: each query must pick entry 0, whatever the row's offset
@@ -132,15 +139,17 @@ class TestRetrieve:
         for _ in range(20):
             key = rng.standard_normal(32)
             b = bank_with([(f"k{i}", key, np.full(32, float(i))) for i in range(43)], d=32)
+            b.mu = 1
             for q in (rng.standard_normal(32), key):
-                np.testing.assert_array_equal(b.retrieve_missing(q, Modality.PATH, mu=1), np.zeros(32))
+                np.testing.assert_array_equal(b.retrieve_missing(q, Modality.PATH), np.zeros(32))
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)
         b = bank_with([(f"k{i}", rng.standard_normal(2), rng.standard_normal(2)) for i in range(6)])
         q = rng.standard_normal(2)
-        a = b.retrieve_missing(q, Modality.PATH, mu=3)
-        c = b.retrieve_missing(q, Modality.PATH, mu=3)
+        b.mu = 3
+        a = b.retrieve_missing(q, Modality.PATH)
+        c = b.retrieve_missing(q, Modality.PATH)
         np.testing.assert_array_equal(a, c)
 
     @given(st.integers(min_value=0, max_value=10_000))
@@ -153,7 +162,8 @@ class TestRetrieve:
             b.update(f"k{i}", rng.standard_normal(d), rng.standard_normal(d))
         mu = int(rng.integers(1, n + 1))
         q = rng.standard_normal(d)
-        out = b.retrieve_missing(q, Modality.PATH, mu=mu)
+        b.mu = mu
+        out = b.retrieve_missing(q, Modality.PATH)
         # independent re-selection of the top-mu by cosine, ties to lowest index
         def cos(u, v):
             nu, nv = np.linalg.norm(u), np.linalg.norm(v)
@@ -233,11 +243,13 @@ class TestScanOracle:
                 q = rng.integers(-3, 4, bank.d).astype(float)
             else:
                 q = rng.standard_normal(bank.d)
+            bank.mu = 1
             np.testing.assert_array_equal(
-                bank.retrieve_missing(q, avail, mu=1), bank_retrieve_scan(keys, values, q, 1)
+                bank.retrieve_missing(q, avail), bank_retrieve_scan(keys, values, q, 1)
             )
+            bank.mu = mu
             np.testing.assert_allclose(
-                bank.retrieve_missing(q, avail, mu=mu), bank_retrieve_scan(keys, values, q, mu),
+                bank.retrieve_missing(q, avail), bank_retrieve_scan(keys, values, q, mu),
                 rtol=0, atol=1e-12,
             )
 

@@ -25,6 +25,11 @@ class TestHazardsFromLogits:
         assert np.all(out.hazards == EPS)
         np.testing.assert_allclose(out.survival, 1.0, atol=1e-5)
 
+    @pytest.mark.filterwarnings("error")
+    def test_extreme_logits_clamp_without_warning(self):
+        out = hazards_from_logits(np.array([-800.0, 0.0, 800.0]))
+        np.testing.assert_array_equal(out.hazards, [EPS, 0.5, 1.0 - EPS])
+
     def test_random_logits_direct_oracle(self):
         rng = np.random.default_rng(0)
         logits = rng.standard_normal(6)

@@ -64,6 +64,16 @@ class TestGenerate:
         with pytest.raises(ValueError):
             SynthConfig(censor_rate=1.0)
 
+    @pytest.mark.parametrize("bad, message", [({"n_folds": 0}, "n_folds must be >= 1"),
+                                              ({"n_folds": -2}, "n_folds must be >= 1"),
+                                              ({"n_bins": 1}, "n_bins must be >= 2")])
+    def test_rejects_fold_and_bin_counts(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            SynthConfig(**bad)
+
+    def test_more_folds_than_patients_allowed(self):
+        assert generate(SynthConfig(n_patients=1, seed=2)).folds.tolist() == [0]
+
     def test_slide_offsets_shift_whole_slides(self):
         base = dict(n_patients=4, patches_per_slide=6, d=8, w_groups=2, seed=13)
         plain = generate(SynthConfig(slide_offset_noise=0.0, **base))
