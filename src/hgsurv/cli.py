@@ -161,7 +161,8 @@ def cmd_generate(args) -> int:
 
 
 def _training_setup(args):
-    """Cohort, config, fold assignment and gene raw lengths of a train or ablate run."""
+    """Cohort, config, fold assignment and gene raw lengths of a train or ablate run; every fold's
+    held-out patients must hold a comparable pair, or that fold's C-index would be undefined."""
     cohort = _load_cohort_checked(args.cohort)
     try:
         cfg = TrainConfig.from_dict(_resolve_settings(args, TrainConfig().to_dict(), _FLAG_NAMES))
@@ -175,8 +176,15 @@ def _training_setup(args):
     if args.folds is not None and not 1 <= args.folds <= len(cohort.patients):
         raise ValidationError(f"--folds {args.folds} must lie in [1, {len(cohort.patients)}], "
                               "the number of patients in the cohort")
+    folds = _resolve_folds(cohort, args.folds, cfg.seed)
+    for fold in range(int(folds.max()) + 1):
+        val = _split(cohort, folds, fold)[1]
+        event_times = [p.label.time for p in val if p.label.censor is Censor.EVENT]
+        if not event_times or min(event_times) >= max(p.label.time for p in val):
+            raise ValidationError(f"fold {fold}: no held-out patient has an event earlier than another "
+                                  "held-out patient's time, so its C-index is undefined")
     os.makedirs(args.out, exist_ok=True)
-    return cohort, cfg, _resolve_folds(cohort, args.folds, cfg.seed), cohort_gene_raw_lens(cohort)
+    return cohort, cfg, folds, cohort_gene_raw_lens(cohort)
 
 
 def _cross_validate(cohort: Cohort, folds: np.ndarray, cfg: TrainConfig, raw_lens: list[int]):
@@ -271,6 +279,8 @@ def cmd_eval(args) -> int:
         _, val_recs = _split(cohort, folds, fold)
         ev = evaluate(val_recs, params, cfg, bank, missing=missing)
         fold_rows.append({"fold": fold, "n_val": len(val_recs), "c_index": ev.c_index})
+        if fold == 0:
+            fold0 = params, cfg, val_recs
         for rec, (pid, risk) in zip(val_recs, ev.risks):
             pooled.append(
                 SurvPoint(time=rec.label.time, event=rec.label.censor is Censor.EVENT, risk=risk)
@@ -299,7 +309,7 @@ def cmd_eval(args) -> int:
         print(f"log-rank chi2 {chi2:.4f}, p {p:.4g}; KM table in {args.km_out}")
 
     if args.heatmap_out is not None:
-        _export_heatmap(args, cohort, n_folds)
+        _export_heatmap(args, cohort, *fold0)
 
     timing["total"] = time.perf_counter() - t_all
     manifest["timing_sec"] = timing
@@ -308,13 +318,11 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _export_heatmap(args, cohort: Cohort, n_folds: int) -> None:
-    params, cfg, bank = _load_fold_artifacts(args.ckpt_dir, 0, cohort)
+def _export_heatmap(args, cohort: Cohort, params, cfg: TrainConfig, val_recs: list) -> None:
+    """The attention heatmap of one patient under fold 0's model: --heatmap-patient, else fold 0's
+    first held-out patient."""
     if cfg.fusion_mode is not FusionMode.HYPERGRAPH_ATTN:
         raise ValidationError("heatmap export requires an attention-fused checkpoint")
-    folds = _resolve_folds(cohort, n_folds, cfg.seed)
-    _, val_recs = _split(cohort, folds, 0)
-    record = None
     if args.heatmap_patient is not None:
         matches = [p for p in cohort.patients if p.patient_id == args.heatmap_patient]
         if not matches:
@@ -325,7 +333,7 @@ def _export_heatmap(args, cohort: Cohort, n_folds: int) -> None:
     if not (record.has_pathology and record.has_genes):
         raise ValidationError(f"patient {record.patient_id} lacks a modality; no heatmap")
     prepared = prepare_record(record, cfg)
-    fwd = forward(prepared, params, cfg, bank=bank)
+    fwd = forward(prepared, params, cfg)  # a complete record draws nothing from the bank
     write_heatmap(args.heatmap_out, fwd.gene_build.scores, prepared.coords, record.genes.group_names)
     print(f"heatmap for {record.patient_id} in {args.heatmap_out}")
 

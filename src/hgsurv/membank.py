@@ -43,8 +43,7 @@ class MemoryBank:
     d: int
     theta: float = 0.9  # momentum on the new features
     mu: int = 1  # retrieval count
-    key_ids: list[str] = field(default_factory=list, init=False)
-    _index: dict[str, int] = field(default_factory=dict, init=False, repr=False)
+    _index: dict[str, int] = field(default_factory=dict, init=False, repr=False)  # key -> row
     _buf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -55,7 +54,12 @@ class MemoryBank:
         self._buf = np.empty((2, 0, self.d))
 
     def __len__(self) -> int:
-        return len(self.key_ids)
+        return len(self._index)
+
+    @property
+    def key_ids(self) -> list[str]:
+        """The entries' keys in row order."""
+        return list(self._index)
 
     def column(self, modality: Modality) -> np.ndarray:
         """Read-only K x d view of one modality's stored vectors; row i is entry i."""
@@ -82,7 +86,6 @@ class MemoryBank:
             self._buf = np.concatenate([self._buf, np.empty((2, max(1, row), self.d))], axis=1)
         self._buf[:, row] = pair
         self._index[key_id] = row
-        self.key_ids.append(key_id)
 
     def retrieve_missing(self, available_vec: np.ndarray, available: Modality) -> np.ndarray:
         """Softmax-weighted top-mu aggregate of the missing modality's column."""
@@ -104,7 +107,7 @@ class MemoryBank:
     def save(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(f"d={self.d} theta={self.theta!r} mu={self.mu}\n")
-            for key_id, p, g in zip(self.key_ids, *self._buf[:, : len(self)].tolist()):
+            for key_id, p, g in zip(self._index, *self._buf[:, : len(self)].tolist()):
                 fh.write(" ".join([key_id] + [repr(v) for v in p + g]) + "\n")
 
     @classmethod
@@ -152,6 +155,5 @@ class MemoryBank:
                     raise ValueError(f"{path} line {lineno}: non-finite value")
         if error is not None:
             raise ValueError(error)
-        bank.key_ids = list(bank._index)
         bank._buf = values.reshape(-1, 2, d).transpose(1, 0, 2).copy()
         return bank

@@ -14,7 +14,10 @@ Pipeline per patient:
      which is what makes the attention parameters trainable.
   4. mean-pool both node groups, concatenate, affine head -> bin logits.
 
-A missing modality is replaced by a bank retrieval, injected as a single
+``prepare_record`` decides which modalities a pass has: an absent or
+withheld modality's tensors stay None there, and ``forward`` and
+``backward`` read presence from the prepared record alone. A missing
+modality is replaced by a bank retrieval, injected as a single
 already-encoded stand-in node that flows through the remaining stages.
 """
 
@@ -186,9 +189,8 @@ def init_params(
 
 @dataclass
 class PreparedRecord:
-    """Per-record tensors that stay fixed across epochs."""
+    """Per-record tensors that stay fixed across epochs; a modality the pass lacks has None tensors."""
 
-    patient_id: str
     x_raw: np.ndarray | None  # N x d pooled multi-slide patch features
     coords: np.ndarray | None
     hg_ms: Hypergraph | None  # multi-slide hypergraph (parameter independent)
@@ -224,7 +226,7 @@ def build_multislide_graph(
 def prepare_record(
     record: PatientRecord, cfg: TrainConfig, missing: Modality | None = None
 ) -> PreparedRecord:
-    """Per-record tensors; with pathology withheld, its tensors and hypergraph stay None."""
+    """Per-record tensors; an absent or ``missing`` (withheld) modality's tensors stay None."""
     x_raw = coords = hg_ms = None
     if record.has_pathology and missing is not Modality.PATH:
         feats, crds = [], []
@@ -235,15 +237,8 @@ def prepare_record(
         x_raw = np.vstack(feats)
         coords = np.vstack(crds)
         hg_ms = build_multislide_graph(x_raw, crds, cfg.lam, cfg.edge_mode)
-    gene_raw = list(record.genes.groups) if record.has_genes else None
-    return PreparedRecord(
-        patient_id=record.patient_id,
-        x_raw=x_raw,
-        coords=coords,
-        hg_ms=hg_ms,
-        gene_raw=gene_raw,
-        record=record,
-    )
+    gene_raw = list(record.genes.groups) if record.has_genes and missing is not Modality.GENE else None
+    return PreparedRecord(x_raw=x_raw, coords=coords, hg_ms=hg_ms, gene_raw=gene_raw, record=record)
 
 
 @dataclass
@@ -253,11 +248,8 @@ class ForwardResult:
     pooled_p: np.ndarray
     pooled_g: np.ndarray
     # intermediates for the backward pass / exports
-    x_raw: np.ndarray
-    xp: np.ndarray
-    hg_ms: Hypergraph
-    acts_ms: list[np.ndarray]
-    gene_pre1: list[np.ndarray] | None
+    x_raw: np.ndarray  # the prepared patches, or the bank's stand-in row when pathology is missing
+    acts_ms: list[np.ndarray]  # acts_ms[0] is the adapted (or stand-in) input
     gene_hidden: list[np.ndarray] | None
     genes_enc: np.ndarray
     gene_build: GeneEdgeBuild | None
@@ -265,19 +257,11 @@ class ForwardResult:
     acts_ga: list[np.ndarray] | None
     n_patches: int
     n_groups: int
-    fusion: np.ndarray
-    missing: Modality | None
 
 
 def _encode_genes(gene_raw, params):
-    pre1, hidden, enc = [], [], []
-    for raw, (w1, b1, w2, b2) in zip(gene_raw, params.genes, strict=True):
-        p1 = raw @ w1 + b1
-        h = leaky(p1)
-        enc.append(h @ w2 + b2)
-        pre1.append(p1)
-        hidden.append(h)
-    return pre1, hidden, np.vstack(enc)
+    hidden = [leaky(raw @ w1 + b1) for raw, (w1, b1, _, _) in zip(gene_raw, params.genes, strict=True)]
+    return hidden, np.vstack([h @ w2 + b2 for h, (_, _, w2, b2) in zip(hidden, params.genes)])
 
 
 _STANDIN_GRAPH = Hypergraph(1, [[0]])  # the stand-in's self-loop, shared so P is built once
@@ -288,40 +272,31 @@ def forward(
     params: ModelParams,
     cfg: TrainConfig,
     bank: MemoryBank | None = None,
-    missing: Modality | None = None,
 ) -> ForwardResult:
     record = prepared.record
-    miss_path = missing is Modality.PATH or not record.has_pathology
-    miss_gene = missing is Modality.GENE or not record.has_genes
+    miss_path, miss_gene = prepared.x_raw is None, prepared.gene_raw is None
     if miss_path and miss_gene:
         raise ValueError(f"{record.patient_id}: both modalities missing")
     if (miss_path or miss_gene) and bank is None:
         raise ValueError(f"{record.patient_id}: missing modality requires a memory bank")
 
-    gene_pre1 = gene_hidden = None
+    gene_hidden = None
     if not miss_gene:
-        gene_pre1, gene_hidden, genes_enc = _encode_genes(prepared.gene_raw, params)
+        gene_hidden, genes_enc = _encode_genes(prepared.gene_raw, params)
 
     if not miss_path:
-        x_raw = prepared.x_raw
-        hg_ms = prepared.hg_ms
+        x_raw, hg_ms = prepared.x_raw, prepared.hg_ms
         xp = x_raw @ params["adapter_w"] + params["adapter_b"]
     else:
-        query = genes_enc.mean(axis=0)
-        standin = bank.retrieve_missing(query, available=Modality.GENE)
-        x_raw = standin[None, :]
-        hg_ms = _STANDIN_GRAPH
-        xp = x_raw  # stand-in enters already encoded
+        x_raw = xp = bank.retrieve_missing(genes_enc.mean(axis=0), available=Modality.GENE)[None, :]
+        hg_ms = _STANDIN_GRAPH  # the stand-in enters already encoded
 
     acts_ms = stack_forward(xp, hg_ms, params.ms_thetas, params.ms_nonlin)
     ph = acts_ms[-1]
     n = ph.shape[0]
 
-    if miss_gene:
-        # deepest pathology summary computable without genes
-        query = ph.mean(axis=0)
-        standin = bank.retrieve_missing(query, available=Modality.PATH)
-        genes_enc = standin[None, :]
+    if miss_gene:  # queried with the deepest pathology summary computable without genes
+        genes_enc = bank.retrieve_missing(ph.mean(axis=0), available=Modality.PATH)[None, :]
 
     w_eff = genes_enc.shape[0]
     gene_build = None
@@ -341,31 +316,13 @@ def forward(
         pooled_p = acts_ga[-1][:n].mean(axis=0)
         pooled_g = acts_ga[-1][n:].mean(axis=0)
 
-    fusion = np.concatenate([pooled_p, pooled_g])
-    logits = fusion @ params["head_w"] + params["head_b"]
+    logits = np.concatenate([pooled_p, pooled_g]) @ params["head_w"] + params["head_b"]
     if not np.isfinite(logits).all():  # an overflowed forward pass, not bad input
         raise FloatingPointError("non-finite logits")
-    output = hazards_from_logits(logits)
-    return ForwardResult(
-        output=output,
-        logits=logits,
-        pooled_p=pooled_p,
-        pooled_g=pooled_g,
-        x_raw=x_raw,
-        xp=xp,
-        hg_ms=hg_ms,
-        acts_ms=acts_ms,
-        gene_pre1=gene_pre1,
-        gene_hidden=gene_hidden,
-        genes_enc=genes_enc,
-        gene_build=gene_build,
-        hg_ga=hg_ga,
-        acts_ga=acts_ga,
-        n_patches=n,
-        n_groups=w_eff,
-        fusion=fusion,
-        missing=Modality.PATH if miss_path else (Modality.GENE if miss_gene else None),
-    )
+    return ForwardResult(output=hazards_from_logits(logits), logits=logits, pooled_p=pooled_p,
+                         pooled_g=pooled_g, x_raw=x_raw, acts_ms=acts_ms, gene_hidden=gene_hidden,
+                         genes_enc=genes_enc, gene_build=gene_build, hg_ga=hg_ga, acts_ga=acts_ga,
+                         n_patches=n, n_groups=w_eff)
 
 
 def forward_record(
@@ -375,7 +332,7 @@ def forward_record(
     bank: MemoryBank | None = None,
     missing: Modality | None = None,
 ) -> ForwardResult:
-    return forward(prepare_record(record, cfg, missing), params, cfg, bank=bank, missing=missing)
+    return forward(prepare_record(record, cfg, missing), params, cfg, bank=bank)
 
 
 # ---------------------------------------------------------------------------
@@ -395,17 +352,17 @@ def backward(
     cfg: TrainConfig,
     d_logits: np.ndarray,
 ) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss w.r.t. every parameter (complete records only).
+    """Gradients of a scalar loss w.r.t. every parameter (complete prepared records only).
 
     The result is the params' one gradient buffer, so the next backward call
     with the same params overwrites it.
     """
-    if fwd.missing is not None:
+    if prepared.x_raw is None or prepared.gene_raw is None:
         raise ValueError("backward requires a complete-modality forward")
     grads = zero_grads(params)
     n, w_eff = fwd.n_patches, fwd.n_groups
 
-    grads["head_w"][:] = np.outer(fwd.fusion, d_logits)
+    grads["head_w"][:] = np.outer(np.concatenate([fwd.pooled_p, fwd.pooled_g]), d_logits)
     grads["head_b"][:] = d_logits
     d_fusion = params["head_w"] @ d_logits
     d_pooled_p, d_pooled_g = d_fusion[: params.d], d_fusion[params.d :]
@@ -439,10 +396,11 @@ def backward(
             grads["attn_wq"][:] = d_wq
             grads["attn_wk"][:] = d_wk
 
-    d_xp, d_thetas_ms, _ = stack_backward(fwd.hg_ms, params.ms_thetas, params.ms_nonlin, fwd.acts_ms, d_ph)
+    d_xp, d_thetas_ms, _ = stack_backward(prepared.hg_ms, params.ms_thetas, params.ms_nonlin, fwd.acts_ms,
+                                          d_ph)
     for g, dt in zip(grads.ms_thetas, d_thetas_ms):
         g[:] = dt
-    grads["adapter_w"][:] = fwd.x_raw.T @ d_xp
+    grads["adapter_w"][:] = prepared.x_raw.T @ d_xp
     grads["adapter_b"][:] = d_xp.sum(axis=0)
 
     for w in range(w_eff):
@@ -452,7 +410,7 @@ def backward(
         g_w2[:] = np.outer(h, dg)
         g_b2[:] = dg
         dh = params.genes[w][2] @ dg  # the group's w2
-        dpre1 = dh * leaky_grad(fwd.gene_pre1[w])
+        dpre1 = dh * leaky_grad(h)
         g_w1[:] = np.outer(prepared.gene_raw[w], dpre1)
         g_b1[:] = dpre1
     return grads
@@ -495,21 +453,22 @@ def train_epoch(
     """One pass over the fold: per-patient Adam step, then bank update."""
     for p in prepared:
         if p.x_raw is None or p.gene_raw is None:
-            raise ValueError(f"{p.patient_id}: training requires both modalities")
+            raise ValueError(f"{p.record.patient_id}: training requires both modalities")
     order = substream(cfg.seed, "order", epoch).permutation(len(prepared))
     total = 0.0
     for idx in order:
         rec = prepared[idx]
+        pid = rec.record.patient_id
         try:
             fwd = forward(rec, params, cfg)
         except FloatingPointError as exc:
-            raise ValueError(f"{rec.patient_id}: {exc} in epoch {epoch}") from exc
+            raise ValueError(f"{pid}: {exc} in epoch {epoch}") from exc
         loss, grad_logits = nll_loss([fwd.output], [rec.record.label])
         grads = backward(fwd, rec, params, cfg, grad_logits[0])
         if not (math.isfinite(loss) and np.isfinite(grads.flat).all()):
-            raise ValueError(f"{rec.patient_id}: non-finite loss or gradient in epoch {epoch}")
+            raise ValueError(f"{pid}: non-finite loss or gradient in epoch {epoch}")
         adam_step(params, grads, opt_state, cfg.lr, cfg.weight_decay)
-        bank.update(rec.patient_id, fwd.pooled_p, fwd.pooled_g)
+        bank.update(pid, fwd.pooled_p, fwd.pooled_g)
         total += loss
     return total / len(prepared)
 

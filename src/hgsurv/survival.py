@@ -28,10 +28,6 @@ class HazardOutput:
     survival: np.ndarray  # B values, cumulative product of 1 - hazard
     risk: float  # -sum(survival), strictly increasing in every hazard
 
-    @property
-    def n_bins(self) -> int:
-        return self.hazards.shape[0]
-
 
 def hazards_from_logits(logits: np.ndarray) -> HazardOutput:
     logits = np.asarray(logits, dtype=np.float64)

@@ -208,6 +208,17 @@ class TestTrain:
         assert f"--folds {folds} must lie in [1, 16]" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("folds", ["16", "8"])
+    def test_fold_without_a_comparable_pair_rejected_before_training(self, workspace, tmp_path, capsys,
+                                                                    monkeypatch, command, folds):
+        monkeypatch.setattr(cli, "train_fold", None)  # nothing may be trained
+        assert run(command, "--cohort", str(workspace / "cohort"), "--out", str(tmp_path / "o"),
+                   "--folds", folds, *TRAIN) == 1
+        assert re.search(r"error: fold \d+: no held-out patient has an event earlier than another held-out "
+                         r"patient's time, so its C-index is undefined", capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     def test_config_sets_every_field(self, workspace, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"n_max": 32, "bank_mu": 2, "wd": 1e-4}))
@@ -392,6 +403,18 @@ class TestEval:
         write_heatmap(str(ref), fwd.gene_build.scores, model.prepare_record(record, cfg).coords,
                       record.genes.group_names)
         assert hm.read_bytes() == ref.read_bytes()
+
+    def test_heatmap_reuses_fold_0_artifacts(self, workspace, tmp_path, monkeypatch):
+        loads = []
+        for owner, name in ((cli, "load_checkpoint"), (MemoryBank, "load")):
+            def counted(*args, _name=name, _original=getattr(owner, name), **kwargs):
+                loads.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        assert run("eval", "--cohort", str(workspace / "cohort"), "--ckpt-dir", str(workspace / "train"),
+                   "--out", str(tmp_path / "o"), "--heatmap-out", str(tmp_path / "hm.csv")) == 0
+        assert sorted(loads) == ["load"] * 3 + ["load_checkpoint"] * 3  # one of each per fold
 
     def test_eval_rerun_manifest_identical(self, workspace, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

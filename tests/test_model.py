@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -140,11 +141,9 @@ class TestForwardContracts:
         rng = np.random.default_rng(0)
         for k in range(3):
             bank.update(f"b{k}", rng.standard_normal(4), rng.standard_normal(4))
-        # reference: a record prepared with its pathology, which forward then withholds
-        expected = [
-            forward(prepare_record(rec, cfg), params, cfg, bank=bank, missing=Modality.PATH).output.risk
-            for rec in cohort.patients
-        ]
+        # reference: each record with its slides removed, so that pathology is absent, not withheld
+        expected = [forward(prepare_record(dataclasses.replace(rec, slides=[]), cfg), params, cfg,
+                            bank=bank).output.risk for rec in cohort.patients]
         calls = {"intra_slide_edges": 0, "inter_slide_edges": 0}
         for name in calls:
             original = getattr(model, name)
@@ -178,8 +177,44 @@ class TestForwardContracts:
         rec.genes = None
         bank = MemoryBank(d=4)
         bank.update("o", np.ones(4), 2 * np.ones(4))
-        fwd = forward_record(rec, params, cfg, bank=bank)
-        assert fwd.missing is Modality.GENE
+        prepared = prepare_record(rec, cfg)
+        assert prepared.gene_raw is None
+        fwd = forward(prepared, params, cfg, bank=bank)
+        np.testing.assert_array_equal(fwd.genes_enc, 2 * np.ones((1, 4)))
+
+    @pytest.mark.parametrize("withheld, absent", [(Modality.PATH, dict(slides=[])),
+                                                  (Modality.GENE, dict(genes=None))])
+    @pytest.mark.parametrize("fusion", list(FusionMode))
+    def test_withheld_modality_is_decided_by_prepare_record(self, withheld, absent, fusion):
+        """forward reads presence from the prepared record alone: withholding a modality in
+        prepare_record gives the pass a record with that modality absent gets, bit for bit."""
+        rec, cfg, params = micro_setup(fusion_mode=fusion)
+        bank = MemoryBank(d=4)
+        rng = np.random.default_rng(1)
+        for k in range(3):
+            bank.update(f"b{k}", rng.standard_normal(4), rng.standard_normal(4))
+        withheld_prep = prepare_record(rec, cfg, withheld)
+        absent_prep = prepare_record(dataclasses.replace(rec, **absent), cfg)
+        for field in ("x_raw", "coords", "hg_ms", "gene_raw"):
+            assert (getattr(withheld_prep, field) is None) == (getattr(absent_prep, field) is None), field
+        got = forward(withheld_prep, params, cfg, bank)
+        want = forward(absent_prep, params, cfg, bank)
+        for field in ("logits", "pooled_p", "pooled_g", "x_raw", "genes_enc"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        for a, b in zip(got.acts_ms + (got.acts_ga or []), want.acts_ms + (want.acts_ga or []), strict=True):
+            assert np.array_equal(a, b)
+        assert np.array_equal(got.output.hazards, want.output.hazards)
+
+    @pytest.mark.parametrize("withheld", list(Modality))
+    def test_backward_rejects_a_withheld_modality(self, withheld):
+        rec, cfg, params = micro_setup()
+        bank = MemoryBank(d=4)
+        bank.update("o", np.ones(4), 2 * np.ones(4))
+        prepared = prepare_record(rec, cfg, withheld)
+        fwd = forward(prepared, params, cfg, bank)
+        _, grad_logits = nll_loss([fwd.output], [rec.label])
+        with pytest.raises(ValueError, match="complete-modality"):
+            backward(fwd, prepared, params, cfg, grad_logits[0])
 
 
 class TestFullPipelineGradient:
@@ -582,7 +617,7 @@ class TestNonFiniteGuard:
         else:
             def poisoned(fwd, prepared, *args, _original=model.backward):
                 grads = _original(fwd, prepared, *args)
-                if prepared.patient_id == bad.patient_id:
+                if prepared.record.patient_id == bad.patient_id:
                     grads["ms0_theta"][0, 0] = np.inf
                 return grads
 
@@ -644,9 +679,10 @@ class TestHookContract:
         slide = rec.slides[0]
         assert len(hyperedges.intra_slide_edges(slide.coords, cfg.lam)) == slide.n_patches
         assert len(hyperedges.inter_slide_edges(slide.features, cfg.lam)) == slide.n_patches
-        fwd = forward(prepare_record(rec, cfg), params, cfg)
+        prepared = prepare_record(rec, cfg)
+        fwd = forward(prepared, params, cfg)
         build = fwd.gene_build
-        for hg, rows in ((fwd.hg_ms, fwd.hg_ms.members), (fwd.hg_ga, build.edges)):
+        for hg, rows in ((prepared.hg_ms, prepared.hg_ms.members), (fwd.hg_ga, build.edges)):
             pairs = hg.edges
             assert len(pairs) == hg.num_edges
             assert sum(len(members) for members, _ in pairs) == np.count_nonzero(rows >= 0)
