@@ -195,14 +195,20 @@ def _cross_validate(cohort: Cohort, folds: np.ndarray, cfg: TrainConfig, raw_len
         yield fold, train_recs, val_recs, result, evaluate(val_recs, result.params, cfg, result.bank)
 
 
+def _fold_artifact_paths(ckpt_dir: str, fold: int) -> tuple[str, str]:
+    """The fold's checkpoint and memory-bank files."""
+    return os.path.join(ckpt_dir, f"fold_{fold}.npz"), os.path.join(ckpt_dir, f"fold_{fold}.bank.txt")
+
+
 def cmd_train(args) -> int:
     cohort, cfg, folds, raw_lens = _training_setup(args)
     fold_rows = []
     timing = {}
     t_all = t0 = time.perf_counter()
     for fold, train_recs, val_recs, result, ev in _cross_validate(cohort, folds, cfg, raw_lens):
-        save_checkpoint(os.path.join(args.out, f"fold_{fold}.npz"), result.params, cfg, raw_lens)
-        result.bank.save(os.path.join(args.out, f"fold_{fold}.bank.txt"))
+        ckpt, bank_path = _fold_artifact_paths(args.out, fold)
+        save_checkpoint(ckpt, result.params, cfg, raw_lens)
+        result.bank.save(bank_path)
         fold_rows.append(
             {
                 "fold": fold,
@@ -233,10 +239,7 @@ def cmd_train(args) -> int:
 
 
 def _load_fold_artifacts(ckpt_dir: str, fold: int, cohort: Cohort):
-    ckpt = os.path.join(ckpt_dir, f"fold_{fold}.npz")
-    bank_path = os.path.join(ckpt_dir, f"fold_{fold}.bank.txt")
-    if not os.path.exists(ckpt) or not os.path.exists(bank_path):
-        raise ValidationError(f"missing checkpoint or bank for fold {fold} in {ckpt_dir}")
+    ckpt, bank_path = _fold_artifact_paths(ckpt_dir, fold)
     try:
         params, cfg, meta = load_checkpoint(ckpt, expect_d=cohort.d, expect_bins=cohort.n_bins)
     except ValueError as exc:
@@ -264,6 +267,17 @@ def cmd_eval(args) -> int:
         train_manifest = json.load(fh)
     n_folds = train_manifest["n_folds"]
     missing = None if args.missing == "none" else Modality(args.missing)
+    for fold in range(n_folds):
+        if not all(map(os.path.exists, _fold_artifact_paths(args.ckpt_dir, fold))):
+            raise ValidationError(f"missing checkpoint or bank for fold {fold} in {args.ckpt_dir}")
+    # every patient is held out in some fold, so each must keep the modality not withheld
+    if missing is not None:
+        keeps_slides = missing is Modality.GENE
+        bare = [p.patient_id for p in cohort.patients
+                if not (p.has_pathology if keeps_slides else p.has_genes)]
+        if bare:
+            raise ValidationError(f"--missing {args.missing} leaves nothing to evaluate for patients "
+                                  f"without {'slides' if keeps_slides else 'genes'}: {', '.join(bare[:5])}")
     os.makedirs(args.out, exist_ok=True)
 
     fold_rows = []

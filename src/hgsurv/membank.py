@@ -11,24 +11,42 @@ column over the top-mu entries, ties going to the lowest entry index.
 Entry i is row i of the pathology and genomic columns, two K x d matrices
 in one float64 buffer that doubles when full. Non-finite input is rejected.
 
-File format: header `d=<int> theta=<real> mu=<int>`, then one line per
-entry `key_id p0 ... p{d-1} g0 ... g{d-1}` in decimal text; floats are
-repr()'d so a round-trip is bit-exact. Each key appears once; `load`
-rejects a repeated key rather than momentum-blending it. `load` parses the
-file in one streaming pass: each line is split once and its field count and
-key are checked without converting anything, and the numeric fields of all
-lines go through one np.fromiter(map(float, ...)) and one np.isfinite, so
-only one line's fields are held as strings at a time. Only a failed
-conversion or a non-finite value re-scans the lines, to name the first bad
-one.
+File format: the text file is the file of record. Its header is
+`d=<int> theta=<real> mu=<int>`, then one line per entry
+`key_id p0 ... p{d-1} g0 ... g{d-1}` in decimal text; floats are repr()'d
+so a round-trip is bit-exact. Each key appears once; `load` rejects a
+repeated key rather than momentum-blending it.
+
+`save` also writes a binary mirror at `<path>.npz`, so `hgsurv train`
+writes one more file per fold (`fold_k.bank.txt.npz`). It holds the live
+(2, K, d) buffer `buf`, the keys in row order `keys`, and `sha256`, the
+SHA-256 of the text bytes it mirrors (hashed line by line as the text is
+written, so the file is never held whole). A bank with a key that is not one
+whitespace-free token, or that a fixed-width string array would change,
+gets no mirror. `load` reads the text's bytes once and builds the bank from
+the mirror only when the mirror opens, its digest equals the hash of those
+bytes, its buffer is finite float64 with the header's d, and its keys are
+unique and as many as the buffer's rows. Otherwise it parses the text, so
+an edited, replaced or older-version bank is never served from a stale
+mirror.
+
+The text parse is one streaming pass: each line is split once and its field
+count and key are checked without converting anything, and the numeric
+fields of all lines go through one np.fromiter(map(float, ...)) and one
+np.isfinite, so only one line's fields are held as strings at a time. Only
+a failed conversion or a non-finite value re-scans the lines, to name the
+first bad one.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import zipfile
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 
@@ -105,26 +123,47 @@ class MemoryBank:
         return (w / w.sum()) @ values[order]
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"d={self.d} theta={self.theta!r} mu={self.mu}\n")
-            for key_id, p, g in zip(self._index, *self._buf[:, : len(self)].tolist()):
-                fh.write(" ".join([key_id] + [repr(v) for v in p + g]) + "\n")
+        """Write the text file at ``path`` and its binary mirror at ``<path>.npz``."""
+        digest = hashlib.sha256()
+        rows = zip(self._index, *self._buf[:, : len(self)].tolist())
+        lines = chain([f"d={self.d} theta={self.theta!r} mu={self.mu}"],
+                      (" ".join([key_id] + [repr(v) for v in p + g]) for key_id, p, g in rows))
+        with open(path, "wb") as fh:
+            for line in lines:
+                data = f"{line}\n".encode()
+                fh.write(data)
+                digest.update(data)
+        mirror = f"{path}.npz"
+        keys = np.array(self.key_ids, dtype=str)
+        # a key the text cannot hold as one token, or that a fixed-width string array changes
+        # (a trailing NUL), gets no mirror; load then parses the text
+        if keys.tolist() != self.key_ids or any(k.split() != [k] for k in self.key_ids):
+            Path(mirror).unlink(missing_ok=True)
+            return
+        with open(mirror, "wb") as fh:  # through a handle: np.savez appends .npz to a bare path
+            np.savez(fh, buf=self._buf[:, : len(self)], keys=keys, sha256=np.array(digest.hexdigest()))
 
     @classmethod
     def load(cls, path) -> "MemoryBank":
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-        if not lines:
+        """The bank in the text file at ``path``, built from its mirror when the mirror checks out."""
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        # the first line as splitlines() gives it, without decoding or splitting the rest
+        if not (first := raw[: raw.find(b"\n") + 1 or None].decode().splitlines()):
             raise ValueError(f"{path}: empty bank file")
         try:
-            head = dict(tok.split("=", 1) for tok in lines[0].split())
+            head = dict(tok.split("=", 1) for tok in first[0].split())
         except ValueError:
             head = {}
         if "d" not in head or "theta" not in head:
-            raise ValueError(f"{path} line 1: malformed header {lines[0]!r}")
+            raise ValueError(f"{path} line 1: malformed header {first[0]!r}")
         d = int(head["d"])
         bank = cls(d=d, theta=float(head["theta"]), mu=int(head.get("mu", 1)))
-        error = None
+        if (mirrored := _read_mirror(f"{path}.npz", raw, d)) is not None:
+            bank._buf, keys = mirrored
+            bank._index = {key: row for row, key in enumerate(keys)}
+            return bank
+        lines, error = raw.decode().splitlines(), None
 
         def numeric_fields():  # each line's fields after its key, up to the first malformed line
             nonlocal error
@@ -157,3 +196,20 @@ class MemoryBank:
             raise ValueError(error)
         bank._buf = values.reshape(-1, 2, d).transpose(1, 0, 2).copy()
         return bank
+
+
+def _read_mirror(mirror: str, text: bytes, d: int):
+    """(buffer, keys) of the binary mirror when it opens and holds the SHA-256 of ``text``, a
+    finite (2, K, d) float64 buffer and K unique keys; else None."""
+    try:
+        with open(mirror, "rb") as fh, np.load(fh) as npz:  # np.load leaks a handle it opens and fails on
+            buf, keys, digest = npz["buf"], npz["keys"], str(npz["sha256"])
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+    if (digest != hashlib.sha256(text).hexdigest() or keys.dtype.kind != "U" or keys.ndim != 1
+            or buf.dtype != np.float64 or buf.shape != (2, keys.size, d)):
+        return None
+    keys = keys.tolist()
+    if len(set(keys)) != len(keys) or not np.isfinite(buf).all():
+        return None
+    return buf, keys

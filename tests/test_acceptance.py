@@ -440,6 +440,7 @@ def test_criterion_9_determinism(tmp_path):
     assert _manifest_minus_timing(t1 / "manifest.json") == _manifest_minus_timing(t2 / "manifest.json")
     assert (t1 / "fold_0.npz").read_bytes() == (t2 / "fold_0.npz").read_bytes()
     assert (t1 / "fold_0.bank.txt").read_bytes() == (t2 / "fold_0.bank.txt").read_bytes()
+    assert (t1 / "fold_0.bank.txt.npz").read_bytes() == (t2 / "fold_0.bank.txt.npz").read_bytes()
 
     e1, e2 = tmp_path / "e1", tmp_path / "e2"
     ev = ["eval", "--cohort", str(c1), "--ckpt-dir", str(t1), "--missing", "gene"]

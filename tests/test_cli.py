@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 import json
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -132,6 +134,7 @@ class TestTrain:
         for fold in range(3):
             assert (workspace / "train" / f"fold_{fold}.npz").exists()
             assert (workspace / "train" / f"fold_{fold}.bank.txt").exists()
+            assert (workspace / "train" / f"fold_{fold}.bank.txt.npz").exists()
 
     def test_lr_zero_checkpoint_equals_init(self, workspace, tmp_path):
         out = tmp_path / "zero"
@@ -426,9 +429,47 @@ class TestEval:
             b / "eval_manifest.json"
         )
 
-    def test_v1_checkpoint_evaluates_like_its_v2_resave(self, workspace, tmp_path):
-        import shutil
+    @pytest.mark.parametrize("missing", ["gene", "path"])
+    def test_eval_without_bank_mirrors_matches(self, workspace, tmp_path, missing):
+        text_only = tmp_path / "text_only"
+        shutil.copytree(workspace / "train", text_only)
+        for fold in range(3):
+            (text_only / f"fold_{fold}.bank.txt.npz").unlink()
+        for ckpt_dir, out in ((workspace / "train", tmp_path / "a"), (text_only, tmp_path / "b")):
+            assert run("eval", "--cohort", str(workspace / "cohort"), "--ckpt-dir", str(ckpt_dir),
+                       "--missing", missing, "--out", str(out)) == 0
+        assert manifest_without_timing(tmp_path / "a" / "eval_manifest.json") == manifest_without_timing(
+            tmp_path / "b" / "eval_manifest.json"
+        )
 
+    @pytest.mark.parametrize("name, fold", [("fold_1.bank.txt", 1), ("fold_2.npz", 2)])
+    def test_missing_fold_artifact_rejected_before_out(self, workspace, tmp_path, capsys, name, fold):
+        partial = tmp_path / "partial"
+        shutil.copytree(workspace / "train", partial)
+        (partial / name).unlink()
+        out = tmp_path / "o"
+        assert run("eval", "--cohort", str(workspace / "cohort"), "--ckpt-dir", str(partial),
+                   "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert f"missing checkpoint or bank for fold {fold} in {partial}" in captured.err
+        assert captured.out == "" and not out.exists()  # no fold was scored
+
+    @pytest.mark.parametrize("missing, absent, kept", [("gene", dict(slides=[]), "slides"),
+                                                       ("path", dict(genes=None), "genes")])
+    def test_patient_left_with_nothing_rejected_before_out(self, workspace, tmp_path, capsys, missing,
+                                                           absent, kept):
+        cohort = load_cohort(str(workspace / "cohort"))
+        cohort.patients[15] = dataclasses.replace(cohort.patients[15], **absent)
+        save_cohort(cohort, str(tmp_path / "c"))
+        args = ["eval", "--cohort", str(tmp_path / "c"), "--ckpt-dir", str(workspace / "train")]
+        assert run(*args, "--out", str(tmp_path / "o"), "--missing", missing) == 1
+        err = capsys.readouterr().err
+        assert f"--missing {missing} leaves nothing to evaluate for patients without {kept}: P015" in err
+        assert not (tmp_path / "o").exists()
+        # with nothing withheld, the bank stands in for the absent modality
+        assert run(*args, "--out", str(tmp_path / "none")) == 0
+
+    def test_v1_checkpoint_evaluates_like_its_v2_resave(self, workspace, tmp_path):
         v1, v2 = tmp_path / "v1", tmp_path / "v2"
         shutil.copytree(workspace / "train", v1)
         shutil.copytree(workspace / "train", v2)
@@ -446,8 +487,6 @@ class TestEval:
         )
 
     def test_corrupt_checkpoint_is_runtime_error(self, workspace, tmp_path):
-        import shutil
-
         broken = tmp_path / "broken"
         shutil.copytree(workspace / "train", broken)
         (broken / "fold_0.npz").write_bytes(b"garbage")
@@ -455,8 +494,6 @@ class TestEval:
                    "--out", str(tmp_path / "o")) == 2
 
     def test_non_finite_checkpoint_parameter_named(self, workspace, tmp_path, capsys):
-        import shutil
-
         broken = tmp_path / "nan"
         shutil.copytree(workspace / "train", broken)
         params, cfg, meta = load_checkpoint(broken / "fold_0.npz")
@@ -487,8 +524,6 @@ class TestEval:
         assert f"gene group lengths {trained} but the cohort has {lens}" in err
 
     def test_bank_width_mismatch_rejected(self, workspace, tmp_path, capsys):
-        import shutil
-
         narrow = tmp_path / "narrow"
         shutil.copytree(workspace / "train", narrow)
         bank = MemoryBank(d=4)

@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hgsurv.membank import MemoryBank, Modality
+from hgsurv.membank import MemoryBank, Modality, _read_mirror
 from oracles import bank_load_lines, bank_retrieve_scan
 
 
@@ -400,3 +402,132 @@ class TestLoadOracle:
             with pytest.raises(ValueError) as exc:
                 load(path)
             assert str(exc.value) == f"{path} {message}"
+
+
+def assert_same_bank(got: MemoryBank, want: MemoryBank):
+    assert (got.d, got.theta, got.mu) == (want.d, want.theta, want.mu)
+    assert got.key_ids == want.key_ids
+    for modality in Modality:
+        assert got.column(modality).tobytes() == want.column(modality).tobytes()
+
+
+def saved_bank(tmp_path, d=3, n=5, seed=0):
+    rng = np.random.default_rng(seed)
+    path = tmp_path / "bank.txt"
+    bank_with([(f"k{i}", rng.standard_normal(d), rng.standard_normal(d)) for i in range(n)], d=d).save(path)
+    return path
+
+
+class TestMirror:
+    def test_save_writes_text_digest_buffer_and_keys(self, tmp_path):
+        path = saved_bank(tmp_path)
+        bank = bank_load_lines(path)
+        with np.load(f"{path}.npz") as npz:
+            assert sorted(npz.files) == ["buf", "keys", "sha256"]
+            assert str(npz["sha256"]) == hashlib.sha256(path.read_bytes()).hexdigest()
+            assert npz["keys"].tolist() == bank.key_ids
+            np.testing.assert_array_equal(npz["buf"],
+                                          [bank.column(Modality.PATH), bank.column(Modality.GENE)])
+
+    def test_edited_text_wins_over_its_mirror(self, tmp_path):
+        path = saved_bank(tmp_path)
+        lines = path.read_text().splitlines()
+        fields = lines[2].split()
+        fields[3] = "0.125"  # entry 1's third pathology value
+        lines[2] = " ".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        loaded = MemoryBank.load(path)
+        assert loaded.column(Modality.PATH)[1, 2] == 0.125
+        assert_same_bank(loaded, bank_load_lines(path))
+
+    @pytest.mark.parametrize("damage", ["deleted", "empty", "truncated", "garbled", "member missing"])
+    def test_damaged_mirror_falls_back_to_the_text(self, tmp_path, damage):
+        path = saved_bank(tmp_path)
+        mirror = tmp_path / "bank.txt.npz"
+        data = mirror.read_bytes()
+        if damage == "deleted":
+            mirror.unlink()
+        elif damage == "empty":
+            mirror.write_bytes(b"")
+        elif damage == "truncated":
+            mirror.write_bytes(data[: len(data) // 2])
+        elif damage == "garbled":
+            mirror.write_bytes(bytes(b ^ 0x5A for b in data))
+        else:
+            with open(mirror, "wb") as fh:  # no keys
+                np.savez(fh, buf=np.zeros((2, 5, 3)),
+                         sha256=np.array(hashlib.sha256(path.read_bytes()).hexdigest()))
+        assert_same_bank(MemoryBank.load(path), bank_load_lines(path))
+
+    @pytest.mark.parametrize("fault", ["valid", "nan", "inf", "repeated key", "other digest", "wider",
+                                       "narrower", "fewer keys", "three columns", "float32", "bytes keys"])
+    def test_mirror_used_only_when_it_checks_out(self, tmp_path, fault):
+        path = saved_bank(tmp_path)
+        want = bank_load_lines(path)
+        # the mirror differs from the text, so a load that used it shows
+        buf = 2.0 * np.array([want.column(Modality.PATH), want.column(Modality.GENE)])
+        keys, sha256 = [f"m{i}" for i in range(5)], hashlib.sha256(path.read_bytes()).hexdigest()
+        if fault in ("nan", "inf"):
+            buf[1, 4, 0] = float(fault)
+        elif fault == "repeated key":
+            keys[3] = keys[1]
+        elif fault == "other digest":
+            sha256 = hashlib.sha256(b"another text").hexdigest()
+        elif fault == "wider":
+            buf = np.concatenate([buf, buf[:, :, :1]], axis=2)
+        elif fault == "narrower":
+            buf = buf[:, :, :2]
+        elif fault == "fewer keys":
+            keys = keys[:4]
+        elif fault == "three columns":
+            buf = np.concatenate([buf, buf[:1]])
+        elif fault == "float32":
+            buf = buf.astype(np.float32)
+        elif fault == "bytes keys":
+            keys = [k.encode() for k in keys]
+        with open(f"{path}.npz", "wb") as fh:
+            np.savez(fh, buf=buf, keys=np.array(keys), sha256=np.array(sha256))
+        loaded = MemoryBank.load(path)
+        if fault == "valid":
+            assert loaded.key_ids == keys
+            assert loaded.column(Modality.GENE).tobytes() == buf[1].tobytes()
+        else:
+            assert_same_bank(loaded, want)
+
+    @pytest.mark.parametrize("key", ["a b", "a\x00"])
+    def test_key_the_text_or_mirror_cannot_hold_gets_no_mirror(self, tmp_path, key):
+        path = saved_bank(tmp_path)  # its mirror must not outlive the next save
+        bank_with([("k0", [1, 2], [3, 4]), (key, [5, 6], [7, 8])]).save(path)
+        assert not (tmp_path / "bank.txt.npz").exists()
+        try:
+            want = bank_load_lines(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                MemoryBank.load(path)
+            assert str(got.value) == str(exc)
+        else:
+            assert want.key_ids == ["k0", key]
+            assert_same_bank(MemoryBank.load(path), want)
+
+    @given(st.integers(min_value=0, max_value=50), st.integers(min_value=1, max_value=8),
+           st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=1, max_value=60),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    @example(0, 3, 0.9, 1, 0)  # the empty bank
+    def test_mirror_load_matches_text_parse_and_round_trips(self, tmp_path_factory, n, d, theta, mu, seed):
+        rng = np.random.default_rng(seed)
+        vals = rng.standard_normal((n, 2, d)) * 10.0 ** rng.integers(-300, 300, (n, 2, d))
+        special = rng.random((n, 2, d)) < 0.1
+        vals[special] = rng.choice([0.0, -0.0, 5e-324, -1.7976931348623157e308], special.sum())
+        bank = MemoryBank(d=d, theta=theta, mu=mu)
+        for i, (p, g) in enumerate(vals):
+            bank.update(f"P{i}", p, g)
+        folder = tmp_path_factory.mktemp("bank")
+        path, again = folder / "bank.txt", folder / "again.txt"
+        bank.save(path)
+        assert _read_mirror(f"{path}.npz", path.read_bytes(), d) is not None
+        loaded = MemoryBank.load(path)
+        assert_same_bank(loaded, bank_load_lines(path))
+        loaded.save(again)
+        assert again.read_bytes() == path.read_bytes()
+        assert (folder / "again.txt.npz").read_bytes() == (folder / "bank.txt.npz").read_bytes()
