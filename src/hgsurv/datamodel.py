@@ -21,6 +21,8 @@ from enum import Enum
 
 import numpy as np
 
+from .membank import valid_key
+
 
 class SlideKind(Enum):
     FFPE = "FFPE"
@@ -191,6 +193,8 @@ def validate_cohort(cohort: Cohort) -> list[str]:
     problems += [f"{pid}: patient id listed {n} times" for pid, n in counts.items() if n > 1]
     layout = cohort.gene_layout
     for i, p in enumerate(cohort.patients):
+        if not valid_key(p.patient_id):  # the id keys the patient's memory-bank entry
+            problems.append(f"{p.patient_id!r}: patient id is not one token free of whitespace and NUL")
         if not p.has_pathology and not p.has_genes:
             problems.append(f"{p.patient_id}: empty record (no modality present)")
         for s in p.slides:

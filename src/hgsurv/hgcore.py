@@ -3,11 +3,11 @@
     P = Dv^{-1/2} H W De^{-1} H^T Dv^{-1/2}
 
 where H is the vertex x edge incidence matrix, W = diag(edge weights), Dv
-the weighted vertex degrees H w, De the edge sizes and sigma a leaky
-rectifier (HGNN, Feng et al., AAAI 2019). P is symmetric, so the backward
-pass makes one propagation, P g for the pre-activation gradient g:
-dTheta = X^T (P g) and dX = (P g) Theta^T. Vertices of degree zero get
-propagation coefficient 0: their rows of P X are zero.
+the weighted vertex degrees H w, De the edge sizes and sigma the leaky
+rectifier of every layer (HGNN, Feng et al., AAAI 2019). P is symmetric, so
+the backward pass makes one propagation, P g for the pre-activation
+gradient g: dTheta = X^T (P g) and dX = (P g) Theta^T. Vertices of degree
+zero get propagation coefficient 0: their rows of P X are zero.
 
 ``Hypergraph`` has unit weights. It holds the multi-slide graph, fixed per
 patient, and the stand-in self-loop as integer member rows, and builds the
@@ -137,22 +137,20 @@ class GeneGraph:
         return d_w + HT @ (-0.5 * r[:, 0] ** 2 * (dot_u_px + np.einsum("vf,vf->v", X, d_x)))
 
 
-def hg_conv_forward(X: np.ndarray, hg: Hypergraph | GeneGraph, theta: np.ndarray,
-                    nonlin: bool) -> np.ndarray:
-    """One layer: leaky(P X theta) if nonlin, else P X theta, for a d_in x d_out theta."""
+def hg_conv_forward(X: np.ndarray, hg: Hypergraph | GeneGraph, theta: np.ndarray) -> np.ndarray:
+    """One layer, leaky(P X theta), for a d_in x d_out theta."""
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] != hg.num_vertices:
         raise ValueError(f"X has {X.shape[0]} rows, hypergraph has {hg.num_vertices} vertices")
     if X.shape[1] != theta.shape[0]:
         raise ValueError(f"feature width {X.shape[1]} does not match theta rows {theta.shape[0]}")
-    pre = hg.propagate(X) @ theta
-    return leaky(pre) if nonlin else pre
+    return leaky(hg.propagate(X) @ theta)
 
 
-def hg_conv_backward_ext(X: np.ndarray, hg: Hypergraph | GeneGraph, theta: np.ndarray, nonlin: bool,
+def hg_conv_backward_ext(X: np.ndarray, hg: Hypergraph | GeneGraph, theta: np.ndarray,
                          out: np.ndarray, d_out: np.ndarray) -> tuple:
     """Reverse-mode gradients (dL/dX, dL/dTheta, dL/d(edge weights)) of out = hg_conv_forward(X, hg,
-    theta, nonlin); the weight gradient is None for a unit-weight Hypergraph.
+    theta); the weight gradient is None for a unit-weight Hypergraph.
 
     One propagation, Pg = P g. The weight gradient reads the row-wise
     <d_out, out>, which equals <dU, PX> since g * pre = d_out * out.
@@ -161,7 +159,7 @@ def hg_conv_backward_ext(X: np.ndarray, hg: Hypergraph | GeneGraph, theta: np.nd
     d_out = np.asarray(d_out, dtype=np.float64)
     if d_out.shape != out.shape:
         raise ValueError(f"upstream gradient shape {d_out.shape} != output shape {out.shape}")
-    g = d_out * leaky_grad(out) if nonlin else d_out
+    g = d_out * leaky_grad(out)
     Pg = hg.propagate(g)
     d_x = Pg @ theta.T
     if isinstance(hg, GeneGraph):
@@ -169,26 +167,25 @@ def hg_conv_backward_ext(X: np.ndarray, hg: Hypergraph | GeneGraph, theta: np.nd
     return d_x, X.T @ Pg, None
 
 
-def stack_forward(X: np.ndarray, hg: Hypergraph | GeneGraph, thetas: list, nonlin: list[bool]) -> list:
-    """Apply the layers (theta, nonlin flag) in order; returns [X, X1, ..., XL] for the backward."""
+def stack_forward(X: np.ndarray, hg: Hypergraph | GeneGraph, thetas: list) -> list:
+    """Apply the layers (one theta each) in order; returns [X, X1, ..., XL] for the backward."""
     acts = [np.asarray(X, dtype=np.float64)]
-    for theta, nl in zip(thetas, nonlin, strict=True):
-        acts.append(hg_conv_forward(acts[-1], hg, theta, nl))
+    for theta in thetas:
+        acts.append(hg_conv_forward(acts[-1], hg, theta))
     return acts
 
 
-def stack_backward(hg: Hypergraph | GeneGraph, thetas: list[np.ndarray], nonlin: list[bool],
-                   activations: list[np.ndarray], d_out: np.ndarray) -> tuple:
+def stack_backward(hg: Hypergraph | GeneGraph, thetas: list[np.ndarray], activations: list[np.ndarray],
+                   d_out: np.ndarray) -> tuple:
     """Gradients of a stack_forward run: (dX0, [dTheta per layer], dWeights summed over the layers,
     which share the graph; None for a Hypergraph)."""
-    if not len(activations) == len(thetas) + 1 == len(nonlin) + 1:
+    if len(activations) != len(thetas) + 1:
         raise ValueError("activations must be the stack_forward output")
     d_x = np.asarray(d_out, dtype=np.float64)
     d_thetas: list[np.ndarray] = [None] * len(thetas)  # type: ignore[list-item]
     d_w_total = np.zeros(hg.num_edges) if isinstance(hg, GeneGraph) else None
     for i in range(len(thetas) - 1, -1, -1):
-        d_x, d_thetas[i], d_w = hg_conv_backward_ext(activations[i], hg, thetas[i], nonlin[i],
-                                                     activations[i + 1], d_x)
+        d_x, d_thetas[i], d_w = hg_conv_backward_ext(activations[i], hg, thetas[i], activations[i + 1], d_x)
         if d_w is not None:
             d_w_total += d_w
     return d_x, d_thetas, d_w_total

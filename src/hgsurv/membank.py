@@ -21,14 +21,14 @@ repeated key rather than momentum-blending it.
 writes one more file per fold (`fold_k.bank.txt.npz`). It holds the live
 (2, K, d) buffer `buf`, the keys in row order `keys`, and `sha256`, the
 SHA-256 of the text bytes it mirrors (hashed line by line as the text is
-written, so the file is never held whole). A bank with a key that is not one
-whitespace-free token, or that a fixed-width string array would change,
-gets no mirror. `load` reads the text's bytes once and builds the bank from
-the mirror only when the mirror opens, its digest equals the hash of those
-bytes, its buffer is finite float64 with the header's d, and its keys are
-unique and as many as the buffer's rows. Otherwise it parses the text, so
-an edited, replaced or older-version bank is never served from a stale
-mirror.
+written, so the file is never held whole). A key is a non-empty str free of
+whitespace and NUL (``valid_key``), which `update` and the text parse
+enforce, so every key is one text token that a string array keeps as it is.
+`load` reads the text's bytes once and builds the bank from the mirror only
+when the mirror opens, its digest equals the hash of those bytes, its
+buffer is finite float64 with the header's d, and its keys are unique and
+as many as the buffer's rows. Otherwise it parses the text, so an edited,
+replaced or older-version bank is never served from a stale mirror.
 
 The text parse is one streaming pass: each line is split once and its field
 count and key are checked without converting anything, and the numeric
@@ -46,7 +46,6 @@ import zipfile
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
@@ -54,6 +53,11 @@ import numpy as np
 class Modality(Enum):
     PATH = "path"
     GENE = "gene"
+
+
+def valid_key(key) -> bool:
+    """A non-empty str free of whitespace and NUL: one token of a text line, kept by a string array."""
+    return isinstance(key, str) and key.split() == [key] and "\x00" not in key
 
 
 @dataclass
@@ -94,6 +98,8 @@ class MemoryBank:
         return arr
 
     def update(self, key_id: str, path_vec: np.ndarray, gene_vec: np.ndarray) -> None:
+        if not valid_key(key_id):
+            raise ValueError(f"bank key {key_id!r} is not a non-empty string free of whitespace and NUL")
         pair = self._checked([path_vec, gene_vec], "bank vectors")
         row = self._index.get(key_id)
         if row is not None:
@@ -133,15 +139,9 @@ class MemoryBank:
                 data = f"{line}\n".encode()
                 fh.write(data)
                 digest.update(data)
-        mirror = f"{path}.npz"
-        keys = np.array(self.key_ids, dtype=str)
-        # a key the text cannot hold as one token, or that a fixed-width string array changes
-        # (a trailing NUL), gets no mirror; load then parses the text
-        if keys.tolist() != self.key_ids or any(k.split() != [k] for k in self.key_ids):
-            Path(mirror).unlink(missing_ok=True)
-            return
-        with open(mirror, "wb") as fh:  # through a handle: np.savez appends .npz to a bare path
-            np.savez(fh, buf=self._buf[:, : len(self)], keys=keys, sha256=np.array(digest.hexdigest()))
+        with open(f"{path}.npz", "wb") as fh:  # through a handle: np.savez appends .npz to a bare path
+            np.savez(fh, buf=self._buf[:, : len(self)], keys=np.array(self.key_ids, dtype=str),
+                     sha256=np.array(digest.hexdigest()))
 
     @classmethod
     def load(cls, path) -> "MemoryBank":
@@ -172,6 +172,9 @@ class MemoryBank:
                     continue
                 if len(parts) != 1 + 2 * d:
                     error = f"{path} line {lineno}: expected {1 + 2 * d} fields, got {len(parts)}"
+                    return
+                if not valid_key(parts[0]):  # split() leaves only a NUL to find
+                    error = f"{path} line {lineno}: key {parts[0]!r} holds a NUL"
                     return
                 if parts[0] in bank._index:
                     error = f"{path} line {lineno}: duplicate key {parts[0]!r}"

@@ -6,13 +6,16 @@ Pipeline per patient:
   1. patch features pass an affine d->d adapter; gene groups pass per-group
      MLPs (raw_len -> d -> d, leaky hidden).
   2. spatial + feature-similarity hyperedges over all patches, then the
-     multi-slide convolution stack.
+     multi-slide convolution stack (every hypergraph layer is leaky).
   3. attention scores between encoded genes and patch representations pick
      the gene-attentive hyperedges; one convolution stack over the joint
      patch+gene node set refines both modalities. Gene edges carry the
      retained softmax mass (rescaled so uniform attention gives weight 1),
      which is what makes the attention parameters trainable.
   4. mean-pool both node groups, concatenate, affine head -> bin logits.
+
+The parameter layout follows from d, the gene groups' raw lengths and the
+``TrainConfig`` (bins, ``ms_layers``, ``ga_layers``) alone.
 
 ``prepare_record`` decides which modalities a pass has: an absent or
 withheld modality's tensors stay None there, and ``forward`` and
@@ -79,6 +82,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr < 0 or self.epochs < 1 or self.lam < 1 or self.bins < 2:
             raise ValueError("invalid training configuration")
+        for name in ("ms_layers", "ga_layers"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0 < self.beta_fraction <= 1:
             raise ValueError("beta_fraction must be in (0, 1]")
         if self.n_max < 1 or self.bank_mu < 1 or not 0 <= self.bank_theta <= 1:
@@ -134,15 +140,15 @@ class FlatViews(dict):
 
 
 class ModelParams(FlatViews):
-    """The parameters, each stack's per-layer nonlinearity flags and the one gradient buffer ``grads``.
+    """The parameters, laid out by the ``param_layout`` sizes, and the one gradient buffer ``grads``.
     ``values`` (name -> array) is copied in by name, or ``flat`` (the whole vector) in one
     assignment, else every parameter is 0; all must be finite."""
 
-    def __init__(self, d: int, n_bins: int, gene_raw_lens: list[int], ms_nonlin: list[bool],
-                 ga_nonlin: list[bool], values=None, flat=None):
-        sizes = (d, n_bins, gene_raw_lens, len(ms_nonlin), len(ga_nonlin))
+    def __init__(self, d: int, n_bins: int, gene_raw_lens: list[int], n_ms: int, n_ga: int,
+                 values=None, flat=None):
+        sizes = (d, n_bins, gene_raw_lens, n_ms, n_ga)
         super().__init__(*sizes)
-        self.d, self.n_bins, self.ms_nonlin, self.ga_nonlin = d, n_bins, list(ms_nonlin), list(ga_nonlin)
+        self.d = d
         if flat is not None:
             if np.shape(flat) != self.flat.shape:
                 raise ValueError(f"flat parameter vector has length {np.size(flat)}, "
@@ -171,11 +177,9 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-a, a, size=(fan_in, fan_out))
 
 
-def init_params(
-    d: int, n_bins: int, gene_raw_lens: list[int], cfg: TrainConfig, rng: np.random.Generator
-) -> ModelParams:
+def init_params(d: int, gene_raw_lens: list[int], cfg: TrainConfig, rng: np.random.Generator) -> ModelParams:
     """Zero biases; Glorot matrices drawn every gene_w1, every gene_w2, then in layout order."""
-    params = ModelParams(d, n_bins, gene_raw_lens, [True] * cfg.ms_layers, [True] * cfg.ga_layers)
+    params = ModelParams(d, cfg.bins, gene_raw_lens, cfg.ms_layers, cfg.ga_layers)
     draws = [f"gene{w}_{part}" for part in ("w1", "w2") for w in range(len(gene_raw_lens))]
     draws += [name for name, shape in params.layout if len(shape) == 2 and not name.startswith("gene")]
     for name in draws:
@@ -255,8 +259,6 @@ class ForwardResult:
     gene_build: GeneEdgeBuild | None
     hg_ga: GeneGraph | None
     acts_ga: list[np.ndarray] | None
-    n_patches: int
-    n_groups: int
 
 
 def _encode_genes(gene_raw, params):
@@ -291,7 +293,7 @@ def forward(
         x_raw = xp = bank.retrieve_missing(genes_enc.mean(axis=0), available=Modality.GENE)[None, :]
         hg_ms = _STANDIN_GRAPH  # the stand-in enters already encoded
 
-    acts_ms = stack_forward(xp, hg_ms, params.ms_thetas, params.ms_nonlin)
+    acts_ms = stack_forward(xp, hg_ms, params.ms_thetas)
     ph = acts_ms[-1]
     n = ph.shape[0]
 
@@ -312,7 +314,7 @@ def forward(
         else:  # each edge holds its own gene vertex, so no two coincide and no merge is needed
             rng = substream(cfg.seed, "random-edges", record.patient_id)
             hg_ga = GeneGraph(n + w_eff, random_gene_edges(w_eff, n, cfg.beta_fraction, rng), np.ones(w_eff))
-        acts_ga = stack_forward(np.vstack([ph, genes_enc]), hg_ga, params.ga_thetas, params.ga_nonlin)
+        acts_ga = stack_forward(np.vstack([ph, genes_enc]), hg_ga, params.ga_thetas)
         pooled_p = acts_ga[-1][:n].mean(axis=0)
         pooled_g = acts_ga[-1][n:].mean(axis=0)
 
@@ -321,8 +323,7 @@ def forward(
         raise FloatingPointError("non-finite logits")
     return ForwardResult(output=hazards_from_logits(logits), logits=logits, pooled_p=pooled_p,
                          pooled_g=pooled_g, x_raw=x_raw, acts_ms=acts_ms, gene_hidden=gene_hidden,
-                         genes_enc=genes_enc, gene_build=gene_build, hg_ga=hg_ga, acts_ga=acts_ga,
-                         n_patches=n, n_groups=w_eff)
+                         genes_enc=genes_enc, gene_build=gene_build, hg_ga=hg_ga, acts_ga=acts_ga)
 
 
 def forward_record(
@@ -360,7 +361,7 @@ def backward(
     if prepared.x_raw is None or prepared.gene_raw is None:
         raise ValueError("backward requires a complete-modality forward")
     grads = zero_grads(params)
-    n, w_eff = fwd.n_patches, fwd.n_groups
+    n, w_eff = fwd.acts_ms[-1].shape[0], fwd.genes_enc.shape[0]
 
     grads["head_w"][:] = np.outer(np.concatenate([fwd.pooled_p, fwd.pooled_g]), d_logits)
     grads["head_b"][:] = d_logits
@@ -377,8 +378,7 @@ def backward(
         d_xg_out = np.vstack(
             [np.tile(d_pooled_p / n, (n, 1)), np.tile(d_pooled_g / w_eff, (w_eff, 1))]
         )
-        d_xg_in, d_thetas, d_w = stack_backward(fwd.hg_ga, params.ga_thetas, params.ga_nonlin, fwd.acts_ga,
-                                                d_xg_out)
+        d_xg_in, d_thetas, d_w = stack_backward(fwd.hg_ga, params.ga_thetas, fwd.acts_ga, d_xg_out)
         for g, dt in zip(grads.ga_thetas, d_thetas):
             g[:] = dt
         d_ph += d_xg_in[:n]
@@ -396,8 +396,7 @@ def backward(
             grads["attn_wq"][:] = d_wq
             grads["attn_wk"][:] = d_wk
 
-    d_xp, d_thetas_ms, _ = stack_backward(prepared.hg_ms, params.ms_thetas, params.ms_nonlin, fwd.acts_ms,
-                                          d_ph)
+    d_xp, d_thetas_ms, _ = stack_backward(prepared.hg_ms, params.ms_thetas, fwd.acts_ms, d_ph)
     for g, dt in zip(grads.ms_thetas, d_thetas_ms):
         g[:] = dt
     grads["adapter_w"][:] = prepared.x_raw.T @ d_xp
@@ -488,7 +487,7 @@ def train_fold(
     fold: int = 0,
 ) -> TrainResult:
     rng = substream(cfg.seed, "init", fold)
-    params = init_params(d, cfg.bins, gene_raw_lens, cfg, rng)
+    params = init_params(d, gene_raw_lens, cfg, rng)
     opt_state = adam_init(params)
     bank = MemoryBank(d=d, theta=cfg.bank_theta, mu=cfg.bank_mu)
     prepared = [prepare_record(r, cfg) for r in records]
@@ -533,21 +532,16 @@ CHECKPOINT_VERSION = 2  # v2: one `flat` member; v1: one member per parameter na
 
 
 def save_checkpoint(path, params: ModelParams, cfg: TrainConfig, gene_raw_lens: list[int]) -> None:
-    meta = {
-        "version": CHECKPOINT_VERSION,
-        "d": params.d,
-        "bins": params.n_bins,
-        "gene_raw_lens": list(gene_raw_lens),
-        "ms_nonlin": params.ms_nonlin,
-        "ga_nonlin": params.ga_nonlin,
-        "config": cfg.to_dict(),
-    }
+    meta = {"version": CHECKPOINT_VERSION, "d": params.d, "gene_raw_lens": list(gene_raw_lens),
+            "config": cfg.to_dict()}
     np.savez(path, flat=params.flat, _meta=np.array(json.dumps(meta, sort_keys=True)))
 
 
 def load_checkpoint(
     path, expect_d: int | None = None, expect_bins: int | None = None
 ) -> tuple[ModelParams, TrainConfig, dict]:
+    """Params laid out from ``_meta``'s d, gene raw lengths and config. Earlier files also hold a
+    bin count and per-layer flag lists, which restate the config; they are ignored."""
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["_meta"]))
         version = meta.get("version")
@@ -555,10 +549,10 @@ def load_checkpoint(
             raise ValueError(f"unsupported checkpoint version {version}")
         if expect_d is not None and meta["d"] != expect_d:
             raise ValueError(f"checkpoint d={meta['d']} does not match expected d={expect_d}")
-        if expect_bins is not None and meta["bins"] != expect_bins:
-            raise ValueError(f"checkpoint bins={meta['bins']} does not match expected bins={expect_bins}")
         cfg = TrainConfig.from_dict(meta["config"])
-        dims = (meta["d"], meta["bins"], meta["gene_raw_lens"], meta["ms_nonlin"], meta["ga_nonlin"])
+        if expect_bins is not None and cfg.bins != expect_bins:
+            raise ValueError(f"checkpoint bins={cfg.bins} does not match expected bins={expect_bins}")
+        dims = (meta["d"], cfg.bins, meta["gene_raw_lens"], cfg.ms_layers, cfg.ga_layers)
         if version == 1:
             params = ModelParams(*dims, values=data)
         else:

@@ -21,12 +21,17 @@ Both take either graph type; for a unit-weight ``Hypergraph`` every weight
 is 1.
 
 Each ``conv_backward_*`` returns (dL/dX, dL/dTheta, dL/dweights) of
-``sum(hg_conv_forward(X, hg, theta, nonlin) * d_out)``.
+``sum(hg_conv_forward(X, hg, theta) * d_out)``, a leaky layer.
 
 ``bank_retrieve_scan`` is ``MemoryBank.retrieve_missing`` as a per-entry
 scalar scan over the stored rows. ``bank_load_lines`` is ``MemoryBank.load``
 as a line-by-line parse that converts and checks each line before reading
 the next, inserting the entries through ``MemoryBank.update``.
+
+``save_checkpoint_with_layout_keys`` writes a version-2 checkpoint as
+``save_checkpoint`` wrote it while ``_meta`` also restated the layout: a
+``bins`` count and the ``ms_nonlin``/``ga_nonlin`` per-layer flag lists,
+every flag True.
 
 ``adam_init_per_array`` and ``adam_step_per_array`` are the Adam optimizer
 with decoupled weight decay run array by array over the named parameters,
@@ -39,6 +44,7 @@ tail that ``hgsurv.metrics.chi2_sf_1dof`` computes in closed form.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -170,21 +176,13 @@ def propagation_matrix(hg) -> np.ndarray:
     return np.diag(r) @ H @ np.diag(w / de) @ H.T @ np.diag(r)
 
 
-def _activate(pre, nonlin: bool):
-    return leaky(pre) if nonlin else pre
+def conv_forward_dense(X, hg, theta) -> np.ndarray:
+    return leaky(propagation_matrix(hg) @ X @ theta)
 
 
-def _pre_grad(pre, nonlin: bool, d_out):
-    return d_out * leaky_grad(pre) if nonlin else d_out
-
-
-def conv_forward_dense(X, hg, theta, nonlin: bool) -> np.ndarray:
-    return _activate(propagation_matrix(hg) @ X @ theta, nonlin)
-
-
-def conv_backward_dense(X, hg, theta, nonlin: bool, d_out):
+def conv_backward_dense(X, hg, theta, d_out):
     M = propagation_matrix(hg)
-    g = _pre_grad(M @ X @ theta, nonlin, d_out)
+    g = d_out * leaky_grad(M @ X @ theta)
     d_theta = (M @ X).T @ g
     d_px = g @ theta.T
     d_x = M.T @ d_px
@@ -240,13 +238,13 @@ def propagate_scatter(hg, X: np.ndarray) -> np.ndarray:
     return Z * r[:, None]
 
 
-def conv_forward_scatter(X, hg, theta, nonlin: bool) -> np.ndarray:
-    return _activate(propagate_scatter(hg, X) @ theta, nonlin)
+def conv_forward_scatter(X, hg, theta) -> np.ndarray:
+    return leaky(propagate_scatter(hg, X) @ theta)
 
 
-def conv_backward_scatter(X, hg, theta, nonlin: bool, d_out):
+def conv_backward_scatter(X, hg, theta, d_out):
     PX = propagate_scatter(hg, X)
-    g = _pre_grad(PX @ theta, nonlin, d_out)
+    g = d_out * leaky_grad(PX @ theta)
     d_theta = PX.T @ g
     d_px = g @ theta.T
     d_x = propagate_scatter(hg, d_px)
@@ -318,6 +316,8 @@ def bank_load_lines(path) -> MemoryBank:
         parts = line.split()
         if len(parts) != 1 + 2 * d:
             raise ValueError(f"{path} line {lineno}: expected {1 + 2 * d} fields, got {len(parts)}")
+        if "\x00" in parts[0]:
+            raise ValueError(f"{path} line {lineno}: key {parts[0]!r} holds a NUL")
         if parts[0] in bank.key_ids:
             raise ValueError(f"{path} line {lineno}: duplicate key {parts[0]!r}")
         try:
@@ -328,6 +328,12 @@ def bank_load_lines(path) -> MemoryBank:
             raise ValueError(f"{path} line {lineno}: non-finite value")
         bank.update(parts[0], np.array(row[:d]), np.array(row[d:]))
     return bank
+
+
+def save_checkpoint_with_layout_keys(path, params, cfg, gene_raw_lens) -> None:
+    meta = {"version": 2, "d": params.d, "bins": cfg.bins, "gene_raw_lens": list(gene_raw_lens),
+            "ms_nonlin": [True] * cfg.ms_layers, "ga_nonlin": [True] * cfg.ga_layers, "config": cfg.to_dict()}
+    np.savez(path, flat=params.flat, _meta=np.array(json.dumps(meta, sort_keys=True)))
 
 
 def adam_init_per_array(params) -> dict:

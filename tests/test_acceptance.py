@@ -129,8 +129,8 @@ def test_criterion_1_gradient_correctness():
         X = rng.standard_normal((v, 4))
         theta = rng.standard_normal((4, 3))
         d_up = rng.standard_normal((v, 3))
-        dx, dth, _ = hg_conv_backward_ext(X, g, theta, True, hg_conv_forward(X, g, theta, True), d_up)
-        loss = lambda: float(np.sum(hg_conv_forward(X, g, theta, True) * d_up))
+        dx, dth, _ = hg_conv_backward_ext(X, g, theta, hg_conv_forward(X, g, theta), d_up)
+        loss = lambda: float(np.sum(hg_conv_forward(X, g, theta) * d_up))
         _check_grid(X, dx, loss, 1e-4)
         _check_grid(theta, dth, loss, 1e-4)
 
@@ -165,7 +165,7 @@ def test_criterion_1_gradient_correctness():
     )
     rec = cohort.patients[0]
     cfg = TrainConfig(lam=2, beta_fraction=0.5, bins=2, seed=5)
-    params = init_params(4, 2, cohort_gene_raw_lens(cohort), cfg, substream(5, "init"))
+    params = init_params(4, cohort_gene_raw_lens(cohort), cfg, substream(5, "init"))
     prepared = prepare_record(rec, cfg)
     fwd = forward(prepared, params, cfg)
     _, gl = nll_loss([fwd.output], [rec.label])
@@ -286,12 +286,12 @@ def test_criterion_3_convolution_invariants():
 
         X = rng.standard_normal((v, 3))
         theta = rng.standard_normal((3, 3))
-        sparse = hg_conv_forward(X, g, theta, False)
+        sparse = g.propagate(X) @ theta
         worst_agree = max(worst_agree, float(np.abs(sparse - M @ X @ theta).max()))
 
         perm = rng.permutation(v)
         g_perm = hypergraph(v, [(frozenset(int(perm[u]) for u in e), w) for e, w in g.edges])
-        out_perm = hg_conv_forward(X[np.argsort(perm)], g_perm, theta, False)
+        out_perm = g_perm.propagate(X[np.argsort(perm)]) @ theta
         worst_equi = max(worst_equi, float(np.abs(out_perm[perm] - sparse).max()))
 
         g_all = hypergraph(v, [(frozenset(range(v)), 1.0)])

@@ -14,6 +14,7 @@ from hgsurv.cli import main
 from hgsurv.datamodel import load_cohort, save_cohort
 from hgsurv.membank import MemoryBank
 from hgsurv.model import forward_record, init_params, load_checkpoint, save_checkpoint, substream
+from oracles import save_checkpoint_with_layout_keys
 
 
 def run(*argv):
@@ -142,7 +143,7 @@ class TestTrain:
                    "--epochs", "1", "--lr", "0", "--lambda", "3", "--beta-frac", "0.4",
                    "--seed", "5") == 0
         params, cfg, meta = load_checkpoint(out / "fold_0.npz")
-        fresh = init_params(8, 4, meta["gene_raw_lens"], cfg, substream(5, "init", 0))
+        fresh = init_params(8, meta["gene_raw_lens"], cfg, substream(5, "init", 0))
         for name, arr in params.arrays().items():
             np.testing.assert_array_equal(arr, fresh.arrays()[name])
 
@@ -190,6 +191,15 @@ class TestTrain:
         cfg_file.write_text(json.dumps(bad))
         assert run("train", "--cohort", str(workspace / "cohort"),
                    "--out", str(tmp_path / "o"), "--config", str(cfg_file)) == 1
+
+    @pytest.mark.parametrize("field, count", [("ms_layers", -2), ("ga_layers", -1)])
+    def test_negative_layer_count_rejected(self, workspace, tmp_path, capsys, field, count):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({field: count}))
+        assert run("train", "--cohort", str(workspace / "cohort"),
+                   "--out", str(tmp_path / "o"), "--config", str(cfg_file)) == 1
+        assert f"{field} must be >= 0, got {count}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("bad, message", [({"epochs": 1.7}, "epochs must be an integer, got 1.7"),
                                               ({"lr": True}, "lr must be a number, got True"),
@@ -296,6 +306,15 @@ class TestTrain:
         assert run("train", "--cohort", str(tmp_path / "dup"), "--out", str(tmp_path / "o"),
                    "--folds", "1", *TRAIN) == 1
         assert f"{first['patient_id']}: patient id listed 2 times" in capsys.readouterr().err
+
+    def test_patient_id_with_whitespace_is_validation_error(self, workspace, tmp_path, capsys):
+        cohort = load_cohort(str(workspace / "cohort"))
+        assert cohort.patients[0].patient_id == "P000"
+        cohort.patients[0] = dataclasses.replace(cohort.patients[0], patient_id="P 000")
+        save_cohort(cohort, str(tmp_path / "c"))
+        assert run("train", "--cohort", str(tmp_path / "c"), "--out", str(tmp_path / "o"), *TRAIN) == 1
+        assert "'P 000': patient id is not one token free of whitespace and NUL" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_manifest_key_is_validation_error(self, workspace, tmp_path, capsys):
         save_cohort(load_cohort(str(workspace / "cohort")), str(tmp_path / "nod"))
@@ -484,6 +503,19 @@ class TestEval:
                        "--missing", "gene", "--out", str(ckpt_dir / "eval")) == 0
         assert manifest_without_timing(v1 / "eval" / "eval_manifest.json") == manifest_without_timing(
             v2 / "eval" / "eval_manifest.json"
+        )
+
+    def test_checkpoints_with_layout_keys_evaluate_alike(self, workspace, tmp_path):
+        earlier = tmp_path / "earlier"
+        shutil.copytree(workspace / "train", earlier)
+        for fold in range(3):  # each rewritten with the bins and flag lists earlier versions wrote
+            params, cfg, meta = load_checkpoint(earlier / f"fold_{fold}.npz")
+            save_checkpoint_with_layout_keys(earlier / f"fold_{fold}.npz", params, cfg, meta["gene_raw_lens"])
+        for ckpt_dir, out in ((workspace / "train", tmp_path / "a"), (earlier, tmp_path / "b")):
+            assert run("eval", "--cohort", str(workspace / "cohort"), "--ckpt-dir", str(ckpt_dir),
+                       "--out", str(out)) == 0
+        assert manifest_without_timing(tmp_path / "a" / "eval_manifest.json") == manifest_without_timing(
+            tmp_path / "b" / "eval_manifest.json"
         )
 
     def test_corrupt_checkpoint_is_runtime_error(self, workspace, tmp_path):

@@ -11,6 +11,7 @@ from hgsurv.hgcore import (
     Hypergraph,
     hg_conv_backward_ext,
     hg_conv_forward,
+    leaky,
     stack_backward,
     stack_forward,
 )
@@ -93,13 +94,11 @@ class TestDegrees:
 class TestForward:
     def test_self_edge_identity(self):
         X = np.array([[1.5, -2.0]])
-        out = hg_conv_forward(X, hg(1, {0}), np.eye(2), False)
-        np.testing.assert_allclose(out, X)
+        np.testing.assert_allclose(hg(1, {0}).propagate(X), X)
 
     def test_no_edges_zero(self):
         X = np.arange(6.0).reshape(2, 3)
-        out = hg_conv_forward(X, hg(2), np.eye(3), False)
-        np.testing.assert_array_equal(out, np.zeros((2, 3)))
+        np.testing.assert_array_equal(hg(2).propagate(X), np.zeros((2, 3)))
 
     def test_dense_oracle_basis(self):
         # oracle: explicit dense D^-1/2 H De^-1 H^T D^-1/2 on the 3-vertex chain
@@ -108,11 +107,11 @@ class TestForward:
         dv, de = degrees(g)
         M = np.diag(dv**-0.5) @ H @ np.diag(w / de) @ H.T @ np.diag(dv**-0.5)
         X = np.eye(3)
-        np.testing.assert_allclose(hg_conv_forward(X, g, np.eye(3), False), M @ X, atol=1e-14)
+        np.testing.assert_allclose(g.propagate(X), M @ X, atol=1e-14)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            hg_conv_forward(np.ones((2, 3)), hg(2, {0, 1}), np.eye(2), True)
+            hg_conv_forward(np.ones((2, 3)), hg(2, {0, 1}), np.eye(2))
 
 
 def random_hypergraph(rng, v_max=12):
@@ -131,17 +130,17 @@ class TestBackward:
         g = hg(3, {0, 1}, {1, 2})
         X = np.ones((3, 2))
         theta = np.ones((2, 2))
-        out = hg_conv_forward(X, g, theta, True)
-        dx, dth, _ = hg_conv_backward_ext(X, g, theta, True, out, np.zeros((3, 2)))
+        out = hg_conv_forward(X, g, theta)
+        dx, dth, _ = hg_conv_backward_ext(X, g, theta, out, np.zeros((3, 2)))
         np.testing.assert_array_equal(dx, 0)
         np.testing.assert_array_equal(dth, 0)
 
     def test_self_edge_identity_map(self):
-        X = np.array([[0.3, 0.7]])
+        X = np.array([[0.3, 0.7]])  # positive, so the leaky layer passes it unchanged
         d_out = np.array([[1.0, -2.0]])
         g = hg(1, {0})
-        out = hg_conv_forward(X, g, np.eye(2), False)
-        dx, _, _ = hg_conv_backward_ext(X, g, np.eye(2), False, out, d_out)
+        out = hg_conv_forward(X, g, np.eye(2))
+        dx, _, _ = hg_conv_backward_ext(X, g, np.eye(2), out, d_out)
         np.testing.assert_allclose(dx, d_out)
 
     @pytest.mark.parametrize("trial", range(6))
@@ -154,9 +153,9 @@ class TestBackward:
         d_up = rng.standard_normal((g.num_vertices, d_out_dim))
 
         def loss():
-            return float(np.sum(hg_conv_forward(X, g, theta, True) * d_up))
+            return float(np.sum(hg_conv_forward(X, g, theta) * d_up))
 
-        dx, dth, _ = hg_conv_backward_ext(X, g, theta, True, hg_conv_forward(X, g, theta, True), d_up)
+        dx, dth, _ = hg_conv_backward_ext(X, g, theta, hg_conv_forward(X, g, theta), d_up)
         h = 1e-6
         for arr, grad in ((X, dx), (theta, dth)):
             it = np.nditer(arr, flags=["multi_index"])
@@ -179,14 +178,14 @@ class TestBackward:
         X = rng.standard_normal((g.num_vertices, d))
         theta = rng.standard_normal((d, d))
         d_up = rng.standard_normal((g.num_vertices, d))
-        _, _, dw = hg_conv_backward_ext(X, g, theta, True, hg_conv_forward(X, g, theta, True), d_up)
+        _, _, dw = hg_conv_backward_ext(X, g, theta, hg_conv_forward(X, g, theta), d_up)
         members, weights = [m for m, _ in g.edges], np.array([w for _, w in g.edges])
         h = 1e-6
         for e in range(g.num_edges):
             for sign in (1, -1):
                 w2 = weights.copy()
                 w2[e] += sign * h
-                out = hg_conv_forward(X, hypergraph(g.num_vertices, list(zip(members, w2))), theta, True)
+                out = hg_conv_forward(X, hypergraph(g.num_vertices, list(zip(members, w2))), theta)
                 if sign == 1:
                     lp = float(np.sum(out * d_up))
                 else:
@@ -201,19 +200,19 @@ class TestStack:
         g = random_hypergraph(rng)
         X = rng.standard_normal((g.num_vertices, 3))
         theta = rng.standard_normal((3, 3))
-        acts = stack_forward(X, g, [theta], [True])
-        np.testing.assert_array_equal(acts[1], hg_conv_forward(X, g, theta, True))
+        acts = stack_forward(X, g, [theta])
+        np.testing.assert_array_equal(acts[1], hg_conv_forward(X, g, theta))
 
     def test_two_identity_layers_dense_oracle(self):
         g = hg(4, {0, 1}, {1, 2, 3}, {0, 3})
         M = propagation_matrix(g)
         X = np.random.default_rng(1).standard_normal((4, 2))
-        acts = stack_forward(X, g, [np.eye(2)] * 2, [False] * 2)
-        np.testing.assert_allclose(acts[-1], M @ (M @ X), atol=1e-12)
+        acts = stack_forward(X, g, [np.eye(2)] * 2)
+        np.testing.assert_allclose(acts[-1], leaky(M @ leaky(M @ X)), atol=1e-12)
 
     def test_empty_stack(self):
         X = np.ones((3, 2))
-        acts = stack_forward(X, hg(3, {0, 1}), [], [])
+        acts = stack_forward(X, hg(3, {0, 1}), [])
         assert len(acts) == 1
         np.testing.assert_array_equal(acts[0], X)
 
@@ -223,11 +222,11 @@ class TestStack:
         X = rng.standard_normal((g.num_vertices, 3))
         thetas = [rng.standard_normal((3, 3)), rng.standard_normal((3, 3))]
         d_up = rng.standard_normal((g.num_vertices, 3))
-        acts = stack_forward(X, g, thetas, [True, True])
-        dx, dths, _ = stack_backward(g, thetas, [True, True], acts, d_up)
+        acts = stack_forward(X, g, thetas)
+        dx, dths, _ = stack_backward(g, thetas, acts, d_up)
 
         def loss():
-            return float(np.sum(stack_forward(X, g, thetas, [True, True])[-1] * d_up))
+            return float(np.sum(stack_forward(X, g, thetas)[-1] * d_up))
 
         h = 1e-6
         arrays = [(X, dx)] + list(zip(thetas, dths))
@@ -268,8 +267,8 @@ class TestInvariants:
         theta = rng.standard_normal((4, 4))
         perm = rng.permutation(v)
         g_perm = hypergraph(v, [(frozenset(int(perm[u]) for u in e), w) for e, w in g.edges])
-        out = hg_conv_forward(X, g, theta, True)
-        out_perm = hg_conv_forward(X[np.argsort(perm)], g_perm, theta, True)
+        out = hg_conv_forward(X, g, theta)
+        out_perm = hg_conv_forward(X[np.argsort(perm)], g_perm, theta)
         np.testing.assert_allclose(out_perm[perm], out, atol=1e-10)
 
     @pytest.mark.parametrize("trial", range(8))
@@ -278,7 +277,7 @@ class TestInvariants:
         g = random_hypergraph(rng)
         X = rng.standard_normal((g.num_vertices, 3))
         theta = rng.standard_normal((3, 2))
-        sparse = hg_conv_forward(X, g, theta, False)
+        sparse = g.propagate(X) @ theta
         dense = propagation_matrix(g) @ X @ theta
         assert np.abs(sparse - dense).max() <= 1e-10
 
@@ -296,30 +295,30 @@ def hypergraphs(draw):
 class TestOracleAgreement:
     """Forward and every backward output against the dense and the scatter oracle."""
 
-    @given(hypergraphs(), st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
-    @example(hypergraph(4, []), 0, True)  # edgeless
-    @example(hypergraph(5, [(frozenset({0, 2}), 2.5), (frozenset({2, 3}), 0.3)]), 1, True)  # 1, 4 isolated
+    @given(hypergraphs(), st.integers(min_value=0, max_value=2**32 - 1))
+    @example(hypergraph(4, []), 0)  # edgeless
+    @example(hypergraph(5, [(frozenset({0, 2}), 2.5), (frozenset({2, 3}), 0.3)]), 1)  # 1, 4 isolated
     @settings(max_examples=60, deadline=None)
-    def test_matches_both_oracles(self, g, seed, nonlinear):
+    def test_matches_both_oracles(self, g, seed):
         rng = np.random.default_rng(seed)
         d_in, d_out = (int(k) for k in rng.integers(1, 5, size=2))
         X = rng.standard_normal((g.num_vertices, d_in))
         theta = rng.standard_normal((d_in, d_out))
         d_up = rng.standard_normal((g.num_vertices, d_out))
-        out = hg_conv_forward(X, g, theta, nonlinear)
-        d_x, d_theta, d_w = hg_conv_backward_ext(X, g, theta, nonlinear, out, d_up)
+        out = hg_conv_forward(X, g, theta)
+        d_x, d_theta, d_w = hg_conv_backward_ext(X, g, theta, out, d_up)
         for forward, backward in (
             (conv_forward_dense, conv_backward_dense),
             (conv_forward_scatter, conv_backward_scatter),
         ):
-            np.testing.assert_allclose(out, forward(X, g, theta, nonlinear), rtol=1e-10, atol=1e-10)
-            for got, want in zip((d_x, d_theta, d_w), backward(X, g, theta, nonlinear, d_up)):
+            np.testing.assert_allclose(out, forward(X, g, theta), rtol=1e-10, atol=1e-10)
+            for got, want in zip((d_x, d_theta, d_w), backward(X, g, theta, d_up)):
                 np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
-    @given(hypergraphs(), st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
-    @example(hypergraph(4, []), 0, True)  # edgeless
+    @given(hypergraphs(), st.integers(min_value=0, max_value=2**32 - 1))
+    @example(hypergraph(4, []), 0)  # edgeless
     @settings(max_examples=60, deadline=None)
-    def test_unit_weight_hypergraph_matches_both_oracles(self, weighted, seed, nonlinear):
+    def test_unit_weight_hypergraph_matches_both_oracles(self, weighted, seed):
         """The same graphs with every weight 1, built as the slide graph's type; it has no weight gradient."""
         g = Hypergraph(weighted.num_vertices, member_rows([m for m, _ in weighted.edges]))
         rng = np.random.default_rng(seed)
@@ -327,15 +326,15 @@ class TestOracleAgreement:
         X = rng.standard_normal((g.num_vertices, d_in))
         theta = rng.standard_normal((d_in, d_out))
         d_up = rng.standard_normal((g.num_vertices, d_out))
-        out = hg_conv_forward(X, g, theta, nonlinear)
-        d_x, d_theta, d_w = hg_conv_backward_ext(X, g, theta, nonlinear, out, d_up)
+        out = hg_conv_forward(X, g, theta)
+        d_x, d_theta, d_w = hg_conv_backward_ext(X, g, theta, out, d_up)
         assert d_w is None
         for forward, backward in (
             (conv_forward_dense, conv_backward_dense),
             (conv_forward_scatter, conv_backward_scatter),
         ):
-            np.testing.assert_allclose(out, forward(X, g, theta, nonlinear), rtol=1e-10, atol=1e-10)
-            for got, want in zip((d_x, d_theta), backward(X, g, theta, nonlinear, d_up)):
+            np.testing.assert_allclose(out, forward(X, g, theta), rtol=1e-10, atol=1e-10)
+            for got, want in zip((d_x, d_theta), backward(X, g, theta, d_up)):
                 np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
 
@@ -355,18 +354,18 @@ def gene_graphs(draw):
     return GeneGraph(n + n_genes, np.array(rows), weights)
 
 
-@given(gene_graphs(), st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+@given(gene_graphs(), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_gene_graph_matches_dense_oracle(g, seed, nonlinear):
+def test_gene_graph_matches_dense_oracle(g, seed):
     rng = np.random.default_rng(seed)
     d_in, d_out = (int(k) for k in rng.integers(1, 5, size=2))
     X = rng.standard_normal((g.num_vertices, d_in))
     theta = rng.standard_normal((d_in, d_out))
     d_up = rng.standard_normal((g.num_vertices, d_out))
-    out = hg_conv_forward(X, g, theta, nonlinear)
-    np.testing.assert_allclose(out, conv_forward_dense(X, g, theta, nonlinear), rtol=1e-10, atol=1e-10)
-    got = hg_conv_backward_ext(X, g, theta, nonlinear, out, d_up)
-    for got_part, want in zip(got, conv_backward_dense(X, g, theta, nonlinear, d_up)):
+    out = hg_conv_forward(X, g, theta)
+    np.testing.assert_allclose(out, conv_forward_dense(X, g, theta), rtol=1e-10, atol=1e-10)
+    got = hg_conv_backward_ext(X, g, theta, out, d_up)
+    for got_part, want in zip(got, conv_backward_dense(X, g, theta, d_up)):
         np.testing.assert_allclose(got_part, want, rtol=1e-10, atol=1e-10)
 
 
@@ -383,14 +382,14 @@ def test_gene_graph_at_paper_scale_needs_no_vertex_square():
     tracemalloc.start()
     try:
         g = GeneGraph(n + n_genes, rows, rng.uniform(0.5, 2.0, n_genes))
-        out = hg_conv_forward(X, g, theta, True)
-        d_x, d_theta, d_w = hg_conv_backward_ext(X, g, theta, True, out, d_up)
+        out = hg_conv_forward(X, g, theta)
+        d_x, d_theta, d_w = hg_conv_backward_ext(X, g, theta, out, d_up)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
     assert d_w.shape == (n_genes,) and np.isfinite(d_w).all()
-    np.testing.assert_allclose(out, conv_forward_scatter(X, g, theta, True), rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(out, conv_forward_scatter(X, g, theta), rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.slow
@@ -402,11 +401,10 @@ def test_paper_scale_graph_matches_scatter_oracle():
     slides = [intra_slide_edges(c, 9, index_offset=i * n) for i, c in enumerate(coords)]
     X = rng.standard_normal((3 * n, d))
     g = merge(3 * n, *slides, inter_slide_edges(X, 9))
-    PX = hg_conv_forward(X, g, np.eye(d), False)
-    np.testing.assert_allclose(PX, propagate_scatter(g, X), rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(g.propagate(X), propagate_scatter(g, X), rtol=1e-10, atol=1e-12)
     theta = rng.standard_normal((d, d))
     d_up = rng.standard_normal((3 * n, d))
-    d_x, d_theta, d_w = hg_conv_backward_ext(X, g, theta, True, hg_conv_forward(X, g, theta, True), d_up)
+    d_x, d_theta, d_w = hg_conv_backward_ext(X, g, theta, hg_conv_forward(X, g, theta), d_up)
     assert d_w is None  # unit weights: the slide graph has no weight gradient
-    for got, want in zip((d_x, d_theta), conv_backward_scatter(X, g, theta, True, d_up)):
+    for got, want in zip((d_x, d_theta), conv_backward_scatter(X, g, theta, d_up)):
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)

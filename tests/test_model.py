@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import adam_init_per_array, adam_step_per_array
+from oracles import adam_init_per_array, adam_step_per_array, save_checkpoint_with_layout_keys
 
 from hgsurv import hgcore, hyperedges, model
 from hgsurv.datamodel import Censor, GeneGroups, PatientRecord, Slide, SlideKind, SurvivalLabel
@@ -52,7 +52,7 @@ def micro_setup(seed=3, cfg_seed=5, **cfg_kw):
     cohort, _ = generate_detailed(SynthConfig(seed=seed, **MICRO_SYNTH))
     rec = cohort.patients[0]
     cfg = TrainConfig(lam=2, beta_fraction=0.5, bins=2, seed=cfg_seed, **cfg_kw)
-    params = init_params(4, 2, SynthConfig(**MICRO_SYNTH).gene_raw_lengths(), cfg, substream(cfg_seed, "init"))
+    params = init_params(4, SynthConfig(**MICRO_SYNTH).gene_raw_lengths(), cfg, substream(cfg_seed, "init"))
     return rec, cfg, params
 
 
@@ -66,7 +66,7 @@ class TestDegenerateGraphIdentity:
 
     def build(self, d=4, n=5, w=2, seed=0):
         rng = np.random.default_rng(seed)
-        feats = rng.standard_normal((n, d))
+        feats = np.abs(rng.standard_normal((n, d)))  # nonneg: every leaky layer acts as the identity
         coords = rng.uniform(0, 100, (n, 2))
         slides = [Slide("s0", SlideKind.FFPE, feats, coords)]
         genes = GeneGroups(
@@ -75,7 +75,7 @@ class TestDegenerateGraphIdentity:
         )
         rec = PatientRecord("p", slides, genes, SurvivalLabel(1.0, Censor.EVENT, 0))
         cfg = TrainConfig(lam=1, beta_fraction=1.0, bins=2, seed=1)
-        params = ModelParams(d, 2, [d] * w, [False] * 2, [False])  # biases stay 0
+        params = ModelParams(d, 2, [d] * w, 2, 1)  # biases stay 0
         for name in ["adapter_w", "attn_wq", "attn_wk", "ms0_theta", "ms1_theta", "ga0_theta"]:
             params[name][...] = np.eye(d)
         for w1, _, w2, _ in params.genes:
@@ -86,7 +86,7 @@ class TestDegenerateGraphIdentity:
     def test_patch_rows_collapse_and_output_depends_on_mean_only(self):
         rec, cfg, params = self.build()
         fwd = forward_record(rec, params, cfg)
-        pf = fwd.acts_ga[-1][: fwd.n_patches]
+        pf = fwd.acts_ga[-1][: len(fwd.acts_ms[-1])]
         # every patch row of the fused representation is identical
         assert np.abs(pf - pf[0]).max() <= 1e-12
         # replacing all patches by their mean leaves the output unchanged
@@ -121,14 +121,14 @@ class TestForwardContracts:
         fwd = forward_record(rec, params, cfg, bank=bank, missing=Modality.GENE)
         np.testing.assert_array_equal(fwd.genes_enc[0], [4.0, 3, 2, 1])
         assert np.all(np.isfinite(fwd.logits))
-        assert fwd.n_groups == 1
+        assert len(fwd.genes_enc) == 1
 
     def test_missing_path_single_standin_node(self):
         rec, cfg, params = micro_setup()
         bank = MemoryBank(d=4)
         bank.update("other", np.array([1.0, 2, 3, 4]), np.array([4.0, 3, 2, 1]))
         fwd = forward_record(rec, params, cfg, bank=bank, missing=Modality.PATH)
-        assert fwd.n_patches == 1
+        assert len(fwd.acts_ms[-1]) == 1
         np.testing.assert_array_equal(fwd.x_raw[0], [1.0, 2, 3, 4])
         assert np.all(np.isfinite(fwd.logits))
 
@@ -136,7 +136,7 @@ class TestForwardContracts:
         cohort = generate(SynthConfig(n_patients=8, patches_per_slide=5, d=4, w_groups=2,
                                       n_bins=2, seed=4))
         cfg = TrainConfig(lam=3, beta_fraction=0.5, bins=2, seed=2)
-        params = init_params(4, 2, cohort_gene_raw_lens(cohort), cfg, substream(2, "init"))
+        params = init_params(4, cohort_gene_raw_lens(cohort), cfg, substream(2, "init"))
         bank = MemoryBank(d=4)
         rng = np.random.default_rng(0)
         for k in range(3):
@@ -247,7 +247,7 @@ class TestFullPipelineGradient:
                         w_groups=2, n_bins=2, n_folds=1, seed=8)
         )
         cfg = TrainConfig(lr=1e-3, epochs=1, lam=2, beta_fraction=0.5, bins=2, seed=2)
-        params = init_params(4, 2, cohort_gene_raw_lens(cohort), cfg, substream(2, "init"))
+        params = init_params(4, cohort_gene_raw_lens(cohort), cfg, substream(2, "init"))
         # accumulate |grad| over one epoch's steps
         totals = {k: 0.0 for k in params.arrays()}
         opt = adam_init(params)
@@ -287,7 +287,7 @@ class TestTraining:
         cfg = TrainConfig(lr=0.0, epochs=2, lam=3, beta_fraction=0.5, bins=4, seed=6)
         raw = cohort_gene_raw_lens(cohort)
         result = train_fold(cohort.patients, 8, raw, cfg, fold=0)
-        fresh = init_params(8, 4, raw, cfg, substream(6, "init", 0))
+        fresh = init_params(8, raw, cfg, substream(6, "init", 0))
         for name, arr in result.params.arrays().items():
             np.testing.assert_array_equal(arr, fresh.arrays()[name])
         assert len(result.epoch_losses) == 2
@@ -304,7 +304,7 @@ class TestTraining:
         per layer, 6 in all, of which 4 are the slide graph's."""
         cohort = generate(SynthConfig(n_patients=1, patches_per_slide=4, d=8, w_groups=2, seed=4))
         cfg = TrainConfig(lr=1e-3, epochs=1, lam=3, beta_fraction=0.5, bins=4, seed=6, fusion_mode=fusion)
-        params = init_params(8, 4, cohort_gene_raw_lens(cohort), cfg, substream(6, "init"))
+        params = init_params(8, cohort_gene_raw_lens(cohort), cfg, substream(6, "init"))
         prepared = [prepare_record(r, cfg) for r in cohort.patients]
         calls = {hgcore.Hypergraph: 0, hgcore.GeneGraph: 0}
         for cls in calls:
@@ -320,7 +320,7 @@ class TestTraining:
         cohort = generate(SynthConfig(n_patients=2, patches_per_slide=4, d=8, w_groups=2, seed=4))
         cohort.patients[0].genes = None
         cfg = TrainConfig(lr=1e-3, epochs=1, lam=3, beta_fraction=0.5, bins=4, seed=6)
-        params = init_params(8, 4, [12, 14], cfg, substream(6, "init"))
+        params = init_params(8, [12, 14], cfg, substream(6, "init"))
         prepared = [prepare_record(r, cfg) for r in cohort.patients]
         with pytest.raises(ValueError, match="both modalities"):
             train_epoch(prepared, params, adam_init(params), cfg, MemoryBank(d=8), 0)
@@ -404,7 +404,7 @@ class TestEdgeCases:
                                       seed=4, n_bins=3))
         cfg = TrainConfig(lr=1e-3, epochs=1, lam=2, beta_fraction=0.5, bins=3, seed=2)
         result = train_fold(cohort.patients, 8, cohort_gene_raw_lens(cohort), cfg)
-        assert result.params.n_bins == 3
+        assert result.params["head_b"].shape == (3,)
 
 
 class TestCheckpoint:
@@ -416,7 +416,7 @@ class TestCheckpoint:
         for name, arr in params.arrays().items():
             np.testing.assert_array_equal(arr, loaded.arrays()[name])
         assert loaded_cfg == cfg
-        assert meta["gene_raw_lens"] == [12, 14]
+        assert meta == {"version": 2, "d": 4, "gene_raw_lens": [12, 14], "config": cfg.to_dict()}
 
     def test_v2_keeps_flat_bit_identical_and_rejects_a_wrong_length(self, tmp_path):
         rec, cfg, params = micro_setup()
@@ -451,6 +451,18 @@ class TestCheckpoint:
             load_checkpoint(path, expect_d=8)
         with pytest.raises(ValueError, match="bins="):
             load_checkpoint(path, expect_bins=6)
+
+    def test_layout_keys_of_earlier_files_are_ignored(self, tmp_path):
+        rec, cfg, params = micro_setup(ms_layers=1, ga_layers=2)
+        params.flat[:] = np.random.default_rng(3).standard_normal(params.flat.size)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint_with_layout_keys(path, params, cfg, [12, 14])
+        loaded, loaded_cfg, meta = load_checkpoint(path, expect_d=4, expect_bins=2)
+        assert (meta["bins"], meta["ms_nonlin"], meta["ga_nonlin"]) == (2, [True], [True, True])
+        assert loaded_cfg == cfg and loaded.flat.tobytes() == params.flat.tobytes()
+        assert list(loaded) == list(params)
+        with pytest.raises(ValueError, match="checkpoint bins=2 does not match expected bins=3"):
+            load_checkpoint(path, expect_bins=3)
 
 
 def names_today(n_groups, n_ms, n_ga):
@@ -495,26 +507,25 @@ class TestFlatBuffer:
 
     def test_constructor_copies_and_rejects_bad_shapes(self):
         values = two_group_values()
-        params = ModelParams(2, 3, [3, 5], [False, True], [True], values)
+        params = ModelParams(2, 3, [3, 5], 2, 1, values)
         assert not any(np.shares_memory(params.flat, a) for a in values.values())
-        assert params.ms_nonlin == [False, True] and params.ga_nonlin == [True]
-        assert (params.d, params.n_bins) == (2, 3)
+        assert params.d == 2 and params["head_b"].shape == (3,)
         np.testing.assert_array_equal(params.genes[1][0], np.ones((5, 2)))
         with pytest.raises(ValueError, match="head_w"):
-            ModelParams(2, 3, [3, 5], [False, True], [True], {**values, "head_w": np.ones((5, 3))})
+            ModelParams(2, 3, [3, 5], 2, 1, {**values, "head_w": np.ones((5, 3))})
         with pytest.raises(ValueError, match="gene0_b2"):
-            ModelParams(2, 3, [3, 5], [False, True], [True], {**values, "gene0_b2": np.zeros(3)})
+            ModelParams(2, 3, [3, 5], 2, 1, {**values, "gene0_b2": np.zeros(3)})
         with pytest.raises(ValueError, match="gene1_w1"):  # a raw length that does not fit
-            ModelParams(2, 3, [3, 4], [False, True], [True], values)
+            ModelParams(2, 3, [3, 4], 2, 1, values)
         del values["gene1_b1"]
         with pytest.raises(ValueError, match="gene1_b1"):
-            ModelParams(2, 3, [3, 5], [False, True], [True], values)
+            ModelParams(2, 3, [3, 5], 2, 1, values)
 
     def test_constructor_copies_each_array_to_its_own_name(self):
         # every d x d field gets a distinct value, so a copy by position into a reordered
         # layout would show even though all the shapes agree
         values = two_group_values()
-        params = ModelParams(2, 3, [3, 5], [True, True], [True], values)
+        params = ModelParams(2, 3, [3, 5], 2, 1, values)
         for name, value in values.items():
             np.testing.assert_array_equal(params.arrays()[name], value, err_msg=name)
 
@@ -526,7 +537,7 @@ class TestFlatBuffer:
             values[name] = values[name].copy()
             values[name].flat[-1] = np.nan if name != "head_w" else np.inf
         with pytest.raises(ValueError, match=f"parameter {first} is not finite"):
-            ModelParams(2, 3, [3, 5], [True, True], [True], values)
+            ModelParams(2, 3, [3, 5], 2, 1, values)
 
     def test_zero_grads_is_one_zero_vector_apart_from_params(self):
         _, _, params = micro_setup()
@@ -571,7 +582,7 @@ class TestFusedAdam:
     @settings(max_examples=60, deadline=None)
     def test_matches_per_array_oracle_bitwise(self, run):
         d, raw_lens, cfg, steps, lr, wd, seed = run
-        fused, ref = (init_params(d, cfg.bins, raw_lens, cfg, substream(cfg.seed, "init")) for _ in range(2))
+        fused, ref = (init_params(d, raw_lens, cfg, substream(cfg.seed, "init")) for _ in range(2))
         s_fused, s_ref = adam_init(fused), adam_init_per_array(ref)
         rng = np.random.default_rng(seed)
         for _ in range(steps):
@@ -605,7 +616,7 @@ class TestNonFiniteGuard:
     def test_names_patient_and_epoch(self, monkeypatch, where):
         cohort = generate(SynthConfig(n_patients=3, patches_per_slide=4, d=8, w_groups=2, seed=4))
         cfg = TrainConfig(lr=1e-3, epochs=1, lam=3, beta_fraction=0.5, bins=4, seed=6)
-        params = init_params(8, 4, cohort_gene_raw_lens(cohort), cfg, substream(6, "init"))
+        params = init_params(8, cohort_gene_raw_lens(cohort), cfg, substream(6, "init"))
         prepared = [prepare_record(r, cfg) for r in cohort.patients]
         bad = cohort.patients[1]
         if where == "loss":
@@ -675,7 +686,7 @@ class TestHookContract:
                                       w_groups=3, seed=4))
         rec = cohort.patients[0]
         cfg = TrainConfig(lam=3, beta_fraction=0.5, bins=4, seed=6)
-        params = init_params(8, 4, cohort_gene_raw_lens(cohort), cfg, substream(6, "init"))
+        params = init_params(8, cohort_gene_raw_lens(cohort), cfg, substream(6, "init"))
         slide = rec.slides[0]
         assert len(hyperedges.intra_slide_edges(slide.coords, cfg.lam)) == slide.n_patches
         assert len(hyperedges.inter_slide_edges(slide.features, cfg.lam)) == slide.n_patches
@@ -687,12 +698,13 @@ class TestHookContract:
             assert len(pairs) == hg.num_edges
             assert sum(len(members) for members, _ in pairs) == np.count_nonzero(rows >= 0)
             assert all(isinstance(w, float) for _, w in pairs)
-        assert len(build.edges) == fwd.n_groups == len(list(build.retained))
-        keep = math.ceil(cfg.beta_fraction * fwd.n_patches)
+        n_patches, n_groups = len(fwd.acts_ms[-1]), len(fwd.genes_enc)
+        assert len(build.edges) == n_groups == len(list(build.retained))
+        keep = math.ceil(cfg.beta_fraction * n_patches)
         for w, idx in enumerate(build.retained):
             assert idx.ndim == 1 and idx.dtype.kind == "i" and len(idx) == keep
-            assert set(idx.tolist()) | {fwd.n_patches + w} == set(fwd.hg_ga.edges[w][0].tolist())
-        assert build.scores.shape == (fwd.n_groups, fwd.n_patches)
+            assert set(idx.tolist()) | {n_patches + w} == set(fwd.hg_ga.edges[w][0].tolist())
+        assert build.scores.shape == (n_groups, n_patches)
 
 
 class TestCheckpointV1:
@@ -715,7 +727,6 @@ class TestCheckpointV1:
         for name in names:
             np.testing.assert_array_equal(params.arrays()[name], stored[name])
         np.testing.assert_array_equal(params.genes[1][0], stored["gene1_w1"])
-        assert params.ms_nonlin == [True, False]
         resaved = tmp_path / "resaved.npz"
         save_checkpoint(resaved, params, cfg, raw_lens)
         with np.load(resaved) as b:
